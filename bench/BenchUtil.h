@@ -26,6 +26,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -192,6 +193,23 @@ inline std::string consumeJsonArg(int &Argc, char **Argv) {
     }
   }
   return {};
+}
+
+/// Argument parsing for the experiment binaries that do not hand argv on to
+/// Google Benchmark: `--json <path>` is the only argument they accept.
+/// Anything else (an unknown flag, a stray operand, `--json` without a
+/// path) prints usage and exits with status 2, so a mistyped flag cannot
+/// quietly run the default experiment.
+inline std::string parseBenchArgs(int Argc, char **Argv) {
+  std::string Path = consumeJsonArg(Argc, Argv);
+  if (Argc > 1) {
+    std::fprintf(stderr,
+                 "%s: unexpected argument '%s'\n"
+                 "usage: %s [--json <path>]\n",
+                 Argv[0], Argv[1], Argv[0]);
+    std::exit(2);
+  }
+  return Path;
 }
 
 } // namespace scav::bench

@@ -126,7 +126,7 @@ void printCounters(const char *Label, const RunResult &R) {
 } // namespace
 
 int main(int argc, char **argv) {
-  std::string JsonPath = consumeJsonArg(argc, argv);
+  std::string JsonPath = parseBenchArgs(argc, argv);
   if (JsonPath.empty())
     JsonPath = "BENCH_e10.json"; // e10 always leaves a record
   JsonReport Report("e10_typework");

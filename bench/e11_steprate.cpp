@@ -85,7 +85,7 @@ ModeResult runWorkload(const Workload &W, EvalMode Mode, int Reps) {
 } // namespace
 
 int main(int argc, char **argv) {
-  std::string JsonPath = consumeJsonArg(argc, argv);
+  std::string JsonPath = parseBenchArgs(argc, argv);
   JsonReport Report("e11_steprate");
   Report.evalMode("both");
   std::printf("E11: environment machine vs Fig 5 whole-term substitution\n");

@@ -151,7 +151,7 @@ RateResult runIncremental(const Workload &W, uint64_t OracleEvery,
 } // namespace
 
 int main(int argc, char **argv) {
-  std::string JsonPath = consumeJsonArg(argc, argv);
+  std::string JsonPath = parseBenchArgs(argc, argv);
   JsonReport Report("e12_checkrate");
   std::printf("E12: incremental vs full per-step state checking\n");
   std::printf("claim: journaling the step delta and caching per-cell "

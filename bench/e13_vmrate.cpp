@@ -104,7 +104,7 @@ ModeResult runWorkload(const Workload &W, EvalMode Mode, int Reps) {
 } // namespace
 
 int main(int argc, char **argv) {
-  std::string JsonPath = consumeJsonArg(argc, argv);
+  std::string JsonPath = parseBenchArgs(argc, argv);
   JsonReport Report("e13_vmrate");
   Report.evalMode("both");
   std::printf("E13: flat bytecode VM vs environment machine\n");

@@ -72,7 +72,7 @@ bool sameResults(const ServeReport &A, const ServeReport &B,
 } // namespace
 
 int main(int argc, char **argv) {
-  std::string JsonPath = consumeJsonArg(argc, argv);
+  std::string JsonPath = parseBenchArgs(argc, argv);
   JsonReport Report("e14_serve");
   unsigned Cores = std::thread::hardware_concurrency();
   std::printf("E14: multi-session serving throughput (cores here: %u)\n",

@@ -193,7 +193,7 @@ SprintResult asyncSprint(const Workload &W, uint64_t Window,
 } // namespace
 
 int main(int argc, char **argv) {
-  std::string JsonPath = consumeJsonArg(argc, argv);
+  std::string JsonPath = parseBenchArgs(argc, argv);
   JsonReport Report("e15_parallel");
   unsigned Cores = std::thread::hardware_concurrency();
   std::printf("E15: parallel native copy and pipelined certification\n");

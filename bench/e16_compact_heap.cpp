@@ -191,7 +191,7 @@ RateResult runWorkload(const Workload &W, EvalMode Mode, HeapLayout L,
 } // namespace
 
 int main(int argc, char **argv) {
-  std::string JsonPath = consumeJsonArg(argc, argv);
+  std::string JsonPath = parseBenchArgs(argc, argv);
   JsonReport Report("e16_compact_heap");
   Report.evalMode("both");
   std::printf("E16: compact tagged-word heap vs legacy pointer cells\n");

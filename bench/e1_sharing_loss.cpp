@@ -17,7 +17,7 @@ using namespace scav;
 using namespace scav::bench;
 
 int main(int argc, char **argv) {
-  std::string JsonPath = consumeJsonArg(argc, argv);
+  std::string JsonPath = parseBenchArgs(argc, argv);
   JsonReport Report("e1_sharing_loss");
   std::printf("E1: sharing loss of the basic collector (Fig 4/12, §7)\n");
   std::printf("claim: basic copy turns DAGs into trees; cells after a "

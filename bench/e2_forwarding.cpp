@@ -17,7 +17,7 @@ using namespace scav;
 using namespace scav::bench;
 
 int main(int argc, char **argv) {
-  std::string JsonPath = consumeJsonArg(argc, argv);
+  std::string JsonPath = parseBenchArgs(argc, argv);
   JsonReport Report("e2_forwarding");
   std::printf("E2: forwarding pointers in the certified collector (Fig 9)\n");
   std::printf("claim: one tag bit + one set per object; shared objects "

@@ -49,7 +49,7 @@ ContSample runSampled(Setup &S, const ForgedHeap &H) {
 } // namespace
 
 int main(int argc, char **argv) {
-  std::string JsonPath = consumeJsonArg(argc, argv);
+  std::string JsonPath = parseBenchArgs(argc, argv);
   JsonReport Report("e3_cont_region");
   std::printf("E3: continuation-region cost of the CPS'd collector (§6.1)\n");
   std::printf("claim: continuation allocation is linear in copied objects "

@@ -56,7 +56,7 @@ ForgedHeap forgeMixed(Machine &M, Region R, Region Old, size_t YoungN,
 } // namespace
 
 int main(int argc, char **argv) {
-  std::string JsonPath = consumeJsonArg(argc, argv);
+  std::string JsonPath = parseBenchArgs(argc, argv);
   JsonReport Report("e4_generational");
   std::printf("E4: generational minor collections (Fig 11)\n");
   std::printf("claim: minor-GC work tracks the young live set and is "

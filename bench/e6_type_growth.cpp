@@ -76,7 +76,7 @@ size_t sizeOf(const SType *T) {
 } // namespace
 
 int main(int argc, char **argv) {
-  std::string JsonPath = scav::bench::consumeJsonArg(argc, argv);
+  std::string JsonPath = scav::bench::parseBenchArgs(argc, argv);
   scav::bench::JsonReport Report("e6_type_growth");
   std::printf("E6: type growth across collections — naive S vs symmetric M "
               "(section 2.2.1)\n");

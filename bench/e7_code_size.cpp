@@ -47,7 +47,7 @@ void programTypes(GcContext &C, size_t K, std::vector<const Tag *> &Roots,
 } // namespace
 
 int main(int argc, char **argv) {
-  std::string JsonPath = scav::bench::consumeJsonArg(argc, argv);
+  std::string JsonPath = scav::bench::parseBenchArgs(argc, argv);
   scav::bench::JsonReport Report("e7_code_size");
   std::printf("E7: collector code size — per-type specialization vs ITA "
               "library (section 2.1)\n");

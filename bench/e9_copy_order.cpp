@@ -48,7 +48,7 @@ double meanEdgeDistance(Machine &M, Region To) {
 } // namespace
 
 int main(int argc, char **argv) {
-  std::string JsonPath = consumeJsonArg(argc, argv);
+  std::string JsonPath = parseBenchArgs(argc, argv);
   JsonReport Report("e9_copy_order");
   std::printf("E9: depth-first vs Cheney breadth-first copy (section 10 "
               "extension, native level)\n");

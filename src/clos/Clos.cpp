@@ -1,6 +1,7 @@
 //===- clos/Clos.cpp - λCLOS typechecker, evaluator, printer ---------------===//
 
 #include "clos/Clos.h"
+#include "support/WrapArith.h"
 
 #include <functional>
 
@@ -319,20 +320,7 @@ ClosEvalResult scav::clos::evaluate(const ClosContext &C, const Program &P,
         return Fail("primitive on non-integers");
       auto V = std::make_shared<ClosRt>();
       V->K = ClosRt::Kind::Int;
-      switch (E->primOp()) {
-      case lambda::PrimOp::Add:
-        V->N = L->N + R->N;
-        break;
-      case lambda::PrimOp::Sub:
-        V->N = L->N - R->N;
-        break;
-      case lambda::PrimOp::Mul:
-        V->N = L->N * R->N;
-        break;
-      case lambda::PrimOp::Le:
-        V->N = L->N <= R->N ? 1 : 0;
-        break;
-      }
+      V->N = support::evalIntPrim(E->primOp(), L->N, R->N);
       Env[E->binder()] = V;
       E = E->sub1();
       break;

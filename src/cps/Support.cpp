@@ -1,6 +1,7 @@
 //===- cps/Support.cpp - CPS typechecker, evaluator, printer ---------------===//
 
 #include "cps/Cps.h"
+#include "support/WrapArith.h"
 
 using namespace scav;
 using namespace scav::cps;
@@ -240,22 +241,8 @@ CpsEvalResult scav::cps::evaluate(const Exp *Start, uint64_t Fuel) {
       RtRef L = Atom(E->val1()), R = Atom(E->val2());
       if (!L || !R || L->K != RtVal::Kind::Int || R->K != RtVal::Kind::Int)
         return Fail("primitive on non-integers");
-      int64_t N = 0;
-      switch (E->primOp()) {
-      case lambda::PrimOp::Add:
-        N = L->N + R->N;
-        break;
-      case lambda::PrimOp::Sub:
-        N = L->N - R->N;
-        break;
-      case lambda::PrimOp::Mul:
-        N = L->N * R->N;
-        break;
-      case lambda::PrimOp::Le:
-        N = L->N <= R->N ? 1 : 0;
-        break;
-      }
-      Env[E->binder()] = mkInt(N);
+      Env[E->binder()] =
+          mkInt(support::evalIntPrim(E->primOp(), L->N, R->N));
       E = E->sub1();
       break;
     }

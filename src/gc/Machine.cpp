@@ -10,6 +10,8 @@
 
 #include "gc/Machine.h"
 
+#include "support/WrapArith.h"
+
 using namespace scav;
 using namespace scav::gc;
 
@@ -115,18 +117,86 @@ const Type *Machine::inferRuntimeType(const Value *V) {
   return Checker.inferValue(V, E);
 }
 
+bool Machine::appendPutKey(const Value *V, std::vector<uint64_t> &Key) const {
+  auto Ptr = [](const void *P) {
+    return static_cast<uint64_t>(reinterpret_cast<uintptr_t>(P));
+  };
+  auto Reg = [](Region R) {
+    return (static_cast<uint64_t>(R.sym().id()) << 1) | (R.isName() ? 1 : 0);
+  };
+  auto Delta = [&](const RegionSet &D) {
+    Key.push_back(D.size());
+    for (Region R : D)
+      Key.push_back(Reg(R));
+  };
+  Key.push_back(static_cast<uint64_t>(V->kind()));
+  switch (V->kind()) {
+  case ValueKind::Int:
+    return true;
+  case ValueKind::Var:
+  case ValueKind::Code:
+    return false;
+  case ValueKind::Addr: {
+    const Type *Cell = Psi.lookup(V->address());
+    if (!Cell)
+      return false;
+    Key.push_back(Ptr(Cell));
+    Key.push_back(Reg(V->address().R));
+    return true;
+  }
+  case ValueKind::Pair:
+    return appendPutKey(V->first(), Key) && appendPutKey(V->second(), Key);
+  case ValueKind::Inl:
+  case ValueKind::Inr:
+    return appendPutKey(V->payload(), Key);
+  case ValueKind::PackTag:
+    Key.push_back(V->var().id());
+    Key.push_back(Ptr(V->tagWitness()));
+    Key.push_back(Ptr(V->bodyType()));
+    return appendPutKey(V->payload(), Key);
+  case ValueKind::PackTyVar:
+    Key.push_back(V->var().id());
+    Key.push_back(Ptr(V->typeWitness()));
+    Key.push_back(Ptr(V->bodyType()));
+    Delta(V->delta());
+    return appendPutKey(V->payload(), Key);
+  case ValueKind::PackRegion:
+    Key.push_back(V->var().id());
+    Key.push_back(Reg(V->regionWitness()));
+    Key.push_back(Ptr(V->bodyType()));
+    Delta(V->delta());
+    return appendPutKey(V->payload(), Key);
+  case ValueKind::TransApp:
+    Key.push_back(V->transTags().size());
+    for (const Tag *T : V->transTags())
+      Key.push_back(Ptr(T));
+    Key.push_back(V->transRegions().size());
+    for (Region R : V->transRegions())
+      Key.push_back(Reg(R));
+    return appendPutKey(V->payload(), Key);
+  }
+  return false;
+}
+
 void Machine::recordPut(Address A, const Value *V) {
   if (!Config.TrackTypes)
     return;
-  // Fast path: a value whose type was already inferred under this Ψ keeps
-  // that type regardless of the target cell (inference never looks at the
-  // destination region). The cache is cleared whenever Ψ is rewritten.
+  // Key building and lookup are Ψ upkeep too: time them with the inference.
+  GcContext::TypeworkTimer Timer(C.stats());
+  // Fast path: a value whose shape was already inferred under this Ψ gets
+  // that type (inference never looks at the destination cell, and reads Ψ
+  // only through the parts the key records; see PutTypeCache).
+  bool Keyed = false;
   if (C.interningEnabled()) {
-    auto It = PutTypeCache.find(V);
-    if (It != PutTypeCache.end()) {
-      ++Stats.RecordPutCacheHits;
-      Psi.set(A, It->second);
-      return;
+    PutKey.clear();
+    Keyed = appendPutKey(V, PutKey);
+    if (Keyed) {
+      auto It = PutTypeCache.find(PutKey);
+      if (It != PutTypeCache.end()) {
+        ++Stats.RecordPutCacheHits;
+        Psi.set(A, It->second);
+        return;
+      }
     }
     ++Stats.RecordPutCacheMisses;
   }
@@ -140,8 +210,8 @@ void Machine::recordPut(Address A, const Value *V) {
     return;
   }
   Psi.set(A, T);
-  if (C.interningEnabled())
-    PutTypeCache.emplace(V, T);
+  if (Keyed)
+    PutTypeCache.emplace(PutKey, T);
 }
 
 //===----------------------------------------------------------------------===//
@@ -627,22 +697,8 @@ Machine::Status Machine::step() {
       const Value *L = resolveValue(O->lhs()), *R = resolveValue(O->rhs());
       if (!L->is(ValueKind::Int) || !R->is(ValueKind::Int))
         return stuck("primitive on non-integers");
-      int64_t A = L->intValue(), B = R->intValue(), Res = 0;
-      switch (O->primOp()) {
-      case PrimOp::Add:
-        Res = A + B;
-        break;
-      case PrimOp::Sub:
-        Res = A - B;
-        break;
-      case PrimOp::Mul:
-        Res = A * B;
-        break;
-      case PrimOp::Le:
-        Res = A <= B ? 1 : 0;
-        break;
-      }
-      BV = C.valInt(Res);
+      BV = C.valInt(
+          support::evalIntPrim(O->primOp(), L->intValue(), R->intValue()));
       break;
     }
     }

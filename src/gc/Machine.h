@@ -168,8 +168,10 @@ struct MachineStats {
   uint64_t Widens = 0;
   uint64_t IfGcTaken = 0;
   uint64_t IfGcSkipped = 0;
-  /// recordPut served the Ψ cell type from the value-pointer cache instead
-  /// of re-running inference (see Machine::recordPut).
+  /// recordPut served the Ψ cell type from the shape-keyed memo instead of
+  /// re-running inference (see Machine::PutTypeCache). With interning on,
+  /// every tracked put counts as exactly one hit or one miss — puts with
+  /// no shape key included — so the sum is the number of tracked puts.
   uint64_t RecordPutCacheHits = 0;
   uint64_t RecordPutCacheMisses = 0;
   /// Environment-mode counters (all zero in Subst mode). EnvBindings counts
@@ -385,13 +387,14 @@ public:
   /// Ψ transformation and by the native collector's Ψ refresh.
   const Type *renameRegionName(const Type *T, Symbol From, Symbol To);
 
-  /// Drops every recordPut-cached inferred type. Must be called by any code
-  /// that rewrites or shrinks Ψ *without* going through the machine's own
-  /// step rules (the native collector does); the machine itself invalidates
-  /// on `only` and `widen`. Doubles as the out-of-band mutation signal for
-  /// delta-journal consumers: the same contract that makes the put-type
-  /// cache safe makes their caches safe, so an ExternalMutation event is
-  /// journaled here.
+  /// Drops every recordPut-memoized inferred type. Must be called by any
+  /// code that rewrites or shrinks Ψ *without* going through the machine's
+  /// own step rules (the native collector does); the machine itself
+  /// invalidates on `only` and `widen`. The memo strictly needs this only
+  /// when Dom(Ψ) shrinks (its keys carry the cell-type pointers they read),
+  /// but the call doubles as the out-of-band mutation signal for
+  /// delta-journal consumers, whose caches need it on every rewrite, so an
+  /// ExternalMutation event is journaled here.
   void invalidatePutTypeCache() {
     PutTypeCache.clear();
     journal(DeltaKind::ExternalMutation);
@@ -465,6 +468,10 @@ private:
   const Type *inferRuntimeType(const Value *V);
 
   void recordPut(Address A, const Value *V);
+
+  /// Appends the shape key of \p V (see PutTypeCache) to \p Key; false if
+  /// \p V has none (a free variable, code, or an address outside Ψ).
+  bool appendPutKey(const Value *V, std::vector<uint64_t> &Key) const;
 
   // -- Step bodies shared with the bytecode backend -------------------------
 
@@ -614,13 +621,34 @@ private:
   /// Region symbol → interned "cells.<region>" counter-track name.
   std::unordered_map<Symbol, const char *, SymbolHash> TraceRegionNames;
 
-  /// Ψ-tracking fast path: inferred cell types by value pointer. Values are
-  /// immutable and inference of a *successfully* inferred value depends on Ψ
-  /// only through lookups of addresses it embeds, so entries stay valid
-  /// until Ψ is rewritten (widen), shrunk (only), or mutated externally
-  /// (native collector) — all of which clear the cache. Only successes are
-  /// cached; failures must re-run to produce diagnostics.
-  std::unordered_map<const Value *, const Type *> PutTypeCache;
+  /// Ψ-tracking fast path: inferred cell types by value *shape* — exactly
+  /// what inference reads. The key (appendPutKey) is the constructor tree
+  /// in preorder with each embedded address replaced by its Ψ cell-type
+  /// pointer and region, each pack by its binder, witness, ∆ contents and
+  /// body-type pointer, each TransApp by its tag pointers and regions, and
+  /// every int by one token. Under recordPut's empty Θ/Φ/Γ, inference reads
+  /// nothing else but Dom(Ψ) (the ∆ membership tests of packs and
+  /// TransApps), and it is monotone in Dom(Ψ): between the invalidation
+  /// points — `only`, `widen`, invalidatePutTypeCache — Ψ only grows, so a
+  /// success under the memoized Dom(Ψ) stays the same success. Collector
+  /// copies are fresh values, so keying on shape is what lets copies of
+  /// same-shaped cells share one inference. Values with no key and failed
+  /// inferences are never memoized, so every diagnostic comes from a real
+  /// inference.
+  struct PutKeyHash {
+    size_t operator()(const std::vector<uint64_t> &Key) const {
+      uint64_t H = 0xcbf29ce484222325ULL;
+      for (uint64_t W : Key) {
+        H = (H ^ W) * 0x9e3779b97f4a7c15ULL;
+        H ^= H >> 32;
+      }
+      return static_cast<size_t>(H);
+    }
+  };
+  std::unordered_map<std::vector<uint64_t>, const Type *, PutKeyHash>
+      PutTypeCache;
+  /// recordPut's key buffer, reused across puts.
+  std::vector<uint64_t> PutKey;
 };
 
 /// A pluggable execution engine behind MachineConfig::EvalMode::Vm. The

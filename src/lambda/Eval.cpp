@@ -8,6 +8,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "lambda/Lambda.h"
+#include "support/WrapArith.h"
 
 using namespace scav;
 using namespace scav::lambda;
@@ -103,20 +104,7 @@ struct Evaluator {
         return fail("primitive on non-integers");
       auto V = std::make_shared<EvalValue>();
       V->K = EvalValue::Kind::Int;
-      switch (E->primOp()) {
-      case PrimOp::Add:
-        V->N = L->N + R->N;
-        break;
-      case PrimOp::Sub:
-        V->N = L->N - R->N;
-        break;
-      case PrimOp::Mul:
-        V->N = L->N * R->N;
-        break;
-      case PrimOp::Le:
-        V->N = L->N <= R->N ? 1 : 0;
-        break;
-      }
+      V->N = support::evalIntPrim(E->primOp(), L->N, R->N);
       return V;
     }
     case ExprKind::If0: {

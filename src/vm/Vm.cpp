@@ -12,6 +12,8 @@
 
 #include "vm/Vm.h"
 
+#include "support/WrapArith.h"
+
 #include <chrono>
 
 using namespace scav;
@@ -886,21 +888,7 @@ Machine::Status VmExec::execOne() {
       int64_t A, B;
       if (!IntArg(Cur->ValOps[I.A], A) || !IntArg(Cur->ValOps[I.B], B))
         return M.stuck("primitive on non-integers");
-      int64_t Res = 0;
-      switch (static_cast<PrimOp>(I.Small)) {
-      case PrimOp::Add:
-        Res = A + B;
-        break;
-      case PrimOp::Sub:
-        Res = A - B;
-        break;
-      case PrimOp::Mul:
-        Res = A * B;
-        break;
-      case PrimOp::Le:
-        Res = A <= B ? 1 : 0;
-        break;
-      }
+      int64_t Res = support::evalIntPrim(static_cast<PrimOp>(I.Small), A, B);
       if (gc::heapword::fitsInt(Res)) {
         Frame[I.C].Ptr = wordPtr(gc::heapword::makeInt(Res));
         Frame[I.C].WordRegion = 0; // Int payload is region-independent
@@ -914,22 +902,8 @@ Machine::Status VmExec::execOne() {
     const Value *R = materialize(Cur->ValOps[I.B]);
     if (!L->is(ValueKind::Int) || !R->is(ValueKind::Int))
       return M.stuck("primitive on non-integers");
-    int64_t A = L->intValue(), B = R->intValue(), Res = 0;
-    switch (static_cast<PrimOp>(I.Small)) {
-    case PrimOp::Add:
-      Res = A + B;
-      break;
-    case PrimOp::Sub:
-      Res = A - B;
-      break;
-    case PrimOp::Mul:
-      Res = A * B;
-      break;
-    case PrimOp::Le:
-      Res = A <= B ? 1 : 0;
-      break;
-    }
-    Frame[I.C].Ptr = C.valInt(Res);
+    Frame[I.C].Ptr = C.valInt(support::evalIntPrim(
+        static_cast<PrimOp>(I.Small), L->intValue(), R->intValue()));
     ++PC;
     return M.St;
   }

@@ -15,9 +15,11 @@
 //
 // Stats are compared field by field EXCEPT (a) the Env* counters, which are
 // zero by definition in Subst mode, and (b) the RecordPutCacheHits/Misses
-// split, which legitimately differs: the env machine reuses value pointers
-// where substitution rebuilds them, so it sees more cache hits. The
-// hit+miss *sum* (= number of recordPut calls) must still agree.
+// split, which legitimately differs: the put memo's shape key holds the
+// pointers of a stored value's pack annotations, and substitution rebuilds
+// (and may alpha-rename) annotations the env machine shares, so Subst sees
+// fewer memo hits. The hit+miss *sum* (= number of tracked puts) must
+// still agree.
 //
 //===----------------------------------------------------------------------===//
 

@@ -14,8 +14,9 @@
 // collection, not just at the end.
 //
 // Stats comparison: everything except the Env* counters (the VM binds
-// frames, not environments) and the RecordPutCache hit/miss split (pointer
-// reuse differs across backends; the sum must still agree).
+// frames, not environments) and the RecordPutCache hit/miss split (the put
+// memo's shape key holds annotation pointers, which each backend builds
+// its own way; the sum, the number of tracked puts, must still agree).
 //
 //===----------------------------------------------------------------------===//
 

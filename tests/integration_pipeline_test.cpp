@@ -137,6 +137,45 @@ TEST(PipelineIntegration, CollectionsActuallyFire) {
   }
 }
 
+TEST(PipelineIntegration, OverflowingArithmeticWrapsAtEveryStage) {
+  // 25! overflows int64 in `*`, then `+` and `-` overflow it again. Every
+  // evaluator wraps modulo 2^64 (support/WrapArith.h), so the source
+  // interpreter, CPS, λCLOS and the machine under all three engines agree
+  // on one defined result; an evaluator with a plain signed operator is
+  // undefined behaviour here, which the UBSan build turns into a failure.
+  const char *Src =
+      "(- (+ (app (fix f (n Int) Int (if0 n 1 (* n (app f (- n 1))))) 25)"
+      "      9223372036854775807)"
+      "   (- 0 9223372036854775807))";
+  uint64_t Fact = 1;
+  for (uint64_t I = 2; I <= 25; ++I)
+    Fact *= I;
+  const uint64_t Max = static_cast<uint64_t>(INT64_MAX);
+  const int64_t Want = static_cast<int64_t>(Fact + Max - (0 - Max));
+
+  for (gc::LanguageLevel Level :
+       {gc::LanguageLevel::Base, gc::LanguageLevel::Forward,
+        gc::LanguageLevel::Generational}) {
+    for (gc::EvalMode Mode :
+         {gc::EvalMode::Subst, gc::EvalMode::Env, gc::EvalMode::Vm}) {
+      std::string What = std::string(gc::languageLevelName(Level)) + "/" +
+                         gc::evalModeName(Mode);
+      PipelineOptions Opts;
+      Opts.Level = Level;
+      Opts.Machine.Eval = Mode;
+      Opts.Machine.DefaultRegionCapacity = 16;
+      Pipeline Pipe(Opts);
+      DiagEngine Diags;
+      ASSERT_TRUE(Pipe.compile(Src, Diags)) << What << ": " << Diags.str();
+      for (RunResult R : {Pipe.runSource(), Pipe.runCps(), Pipe.runClos(),
+                          Pipe.runMachine()}) {
+        ASSERT_TRUE(R.Ok) << What << ": " << R.Error;
+        EXPECT_EQ(R.Value, Want) << What;
+      }
+    }
+  }
+}
+
 TEST(PipelineIntegration, MutatorCodeCertifies) {
   // The translated mutator + collector must jointly pass certification —
   // this is the paper's separate-compilation story: the collector is a
