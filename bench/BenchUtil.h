@@ -133,9 +133,8 @@ struct Setup {
   /// "collect_pause_ns" histogram.
   JsonReport *Report = nullptr;
 
-  explicit Setup(LanguageLevel Level, MachineConfig Cfg = {},
-                 bool Intern = GcContext::interningEnabledByDefault()) {
-    C = std::make_unique<GcContext>(Intern);
+  explicit Setup(LanguageLevel Level, MachineConfig Cfg = {}) {
+    C = std::make_unique<GcContext>();
     M = std::make_unique<Machine>(*C, Level, Cfg);
     if (Cfg.Eval == EvalMode::Vm)
       Vm = std::make_unique<vm::VmExec>(*M);

@@ -9,12 +9,6 @@
 //                                  reference substitution interpreter, or
 //                                  the compiled bytecode VM); env
 //                                  SCAV_EVAL_MODE sets the default
-//     --heap-layout compact|legacy heap cell representation (compact
-//                                  tagged-word buffers vs legacy pointer
-//                                  cells — DESIGN.md §3.12); the build
-//                                  default is compact unless
-//                                  -DSCAV_HEAP_LEGACY=ON, and env
-//                                  SCAV_HEAP_LAYOUT overrides the build
 //     --capacity N                 young-region capacity in cells
 //     --check-every N              re-check ⊢ (M,e) every N machine steps
 //                                  (0 = never; incremental checker unless
@@ -28,7 +22,8 @@
 //                                  checker thread (pipelined against the
 //                                  mutator; verdicts byte-identical to the
 //                                  synchronous checker's — DESIGN.md §3.11);
-//                                  env SCAV_ASYNC_CHECK=1 sets the default
+//                                  env SCAV_ASYNC_CHECK=1 sets the default;
+//                                  rejected with --corrupt-at-step
 //     --threads N                  worker threads for parallel native
 //                                  copies (nativeCollect callers that use
 //                                  the process default; the certified λGC
@@ -53,7 +48,7 @@
 //                                  corruption after machine step N so the
 //                                  per-N check fails deterministically
 //                                  (CI crash-dump fixture; needs
-//                                  --check-every)
+//                                  --check-every, synchronous checks only)
 //     --corrupt-kind K             which StateMutationKind to start
 //                                  cycling from (default 0)
 //     --corrupt-seed S             RNG seed for the forged corruption
@@ -62,12 +57,16 @@
 //                                  `(fn gc)` refers to the installed
 //                                  collector of the chosen --level
 //
+// Numeric values must be whole unsigned integers in the field's range; a
+// malformed value prints usage and exits 2.
+//
 //===----------------------------------------------------------------------===//
 
 #include "harness/Pipeline.h"
 
 #include "gc/NativeCollector.h"
 #include "gc/Parse.h"
+#include "support/ParseInt.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -84,8 +83,7 @@ namespace {
 int usage() {
   std::fprintf(stderr,
                "usage: certgc_run [--level base|forward|gen]"
-               " [--eval-mode env|subst|vm] [--heap-layout compact|legacy]"
-               " [--capacity N]"
+               " [--eval-mode env|subst|vm] [--capacity N]"
                " [--check-every N] [--full-check] [--full-check-every N]"
                " [--async-check] [--threads N]"
                " [--certify] [--dump-clos] [--stats] [--stats-json FILE]"
@@ -138,6 +136,17 @@ int main(int argc, char **argv) {
     auto NextArg = [&]() -> const char * {
       return I + 1 < argc ? argv[++I] : nullptr;
     };
+    // The next argument as a whole unsigned integer no larger than Max.
+    auto NumArg = [&](uint64_t Max) -> std::optional<uint64_t> {
+      const char *N = NextArg();
+      if (!N)
+        return std::nullopt;
+      std::optional<uint64_t> V = parseUint64Upto(N, Max);
+      if (!V)
+        std::fprintf(stderr, "%s %s: expected an unsigned integer <= %llu\n",
+                     argv[I - 1], N, (unsigned long long)Max);
+      return V;
+    };
     if (A == "--level") {
       const char *L = NextArg();
       if (!L)
@@ -158,41 +167,30 @@ int main(int argc, char **argv) {
       if (!Mode)
         return usage();
       Opts.Machine.Eval = *Mode;
-    } else if (A == "--heap-layout") {
-      const char *L = NextArg();
-      if (!L)
-        return usage();
-      if (!std::strcmp(L, "compact"))
-        Opts.Machine.Layout = gc::HeapLayout::Compact;
-      else if (!std::strcmp(L, "legacy"))
-        Opts.Machine.Layout = gc::HeapLayout::Legacy;
-      else
-        return usage();
     } else if (A == "--capacity") {
-      const char *N = NextArg();
+      std::optional<uint64_t> N = NumArg(UINT32_MAX);
       if (!N)
         return usage();
-      Opts.Machine.DefaultRegionCapacity =
-          static_cast<uint32_t>(std::atoi(N));
+      Opts.Machine.DefaultRegionCapacity = static_cast<uint32_t>(*N);
     } else if (A == "--check" || A == "--check-every") {
-      const char *N = NextArg();
+      std::optional<uint64_t> N = NumArg(UINT32_MAX);
       if (!N)
         return usage();
-      CheckEveryN = static_cast<uint32_t>(std::atoi(N));
+      CheckEveryN = static_cast<uint32_t>(*N);
     } else if (A == "--full-check") {
       Opts.IncrementalCheck = false;
     } else if (A == "--full-check-every") {
-      const char *N = NextArg();
+      std::optional<uint64_t> N = NumArg(UINT32_MAX);
       if (!N)
         return usage();
-      Opts.FullCheckEvery = static_cast<uint32_t>(std::atoi(N));
+      Opts.FullCheckEvery = static_cast<uint32_t>(*N);
     } else if (A == "--async-check") {
       Opts.AsyncCheck = true;
     } else if (A == "--threads") {
-      const char *N = NextArg();
+      std::optional<uint64_t> N = NumArg(1024); // SCAV_THREADS's range
       if (!N)
         return usage();
-      gc::setNativeGcThreads(static_cast<unsigned>(std::atoi(N)));
+      gc::setNativeGcThreads(static_cast<unsigned>(*N));
     } else if (A == "--certify") {
       Certify = true;
     } else if (A == "--dump-clos") {
@@ -215,20 +213,20 @@ int main(int argc, char **argv) {
         return usage();
       Opts.DumpDir = F;
     } else if (A == "--corrupt-at-step") {
-      const char *N = NextArg();
+      std::optional<uint64_t> N = NumArg(UINT64_MAX);
       if (!N)
         return usage();
-      Opts.CorruptAtStep = std::strtoull(N, nullptr, 10);
+      Opts.CorruptAtStep = *N;
     } else if (A == "--corrupt-kind") {
-      const char *N = NextArg();
+      std::optional<uint64_t> N = NumArg(UINT32_MAX);
       if (!N)
         return usage();
-      Opts.CorruptKind = static_cast<unsigned>(std::atoi(N));
+      Opts.CorruptKind = static_cast<unsigned>(*N);
     } else if (A == "--corrupt-seed") {
-      const char *N = NextArg();
+      std::optional<uint64_t> N = NumArg(UINT64_MAX);
       if (!N)
         return usage();
-      Opts.CorruptSeed = std::strtoull(N, nullptr, 10);
+      Opts.CorruptSeed = *N;
     } else if (A == "-e") {
       const char *E = NextArg();
       if (!E)
@@ -262,6 +260,13 @@ int main(int argc, char **argv) {
   }
   if (Source.empty())
     return usage();
+  // The async step loop has no fault-injection hook: the corruption would
+  // silently never happen.
+  if (Opts.AsyncCheck && Opts.CorruptAtStep != 0) {
+    std::fprintf(stderr, "--corrupt-at-step needs synchronous checks; drop "
+                         "--async-check (or SCAV_ASYNC_CHECK)\n");
+    return 2;
+  }
 
   // Dump bundles record how to rerun this exact invocation.
   if (!Opts.DumpDir.empty())

@@ -16,8 +16,7 @@ using namespace scav::gc;
 //===----------------------------------------------------------------------===//
 
 MirrorSubject::MirrorSubject(GcContext &MachineCtx, LanguageLevel Level)
-    : Ctx(MachineCtx.symbols(), /*EnableInterning=*/true), Lvl(Level),
-      Mem(MachineCtx.cd().sym()) {
+    : Ctx(MachineCtx.symbols()), Lvl(Level), Mem(MachineCtx.cd().sym(), Ctx) {
   // Inherit the machine context's fresh namespace so the mirror's
   // "c"-scoped checker mints (FreshScope appends) stay disjoint from other
   // sessions' checkers when many sessions share one SymbolTable — and keep
@@ -46,14 +45,13 @@ void MirrorSubject::trimJournal(uint64_t UpToAbs) {
 }
 
 void MirrorSubject::applyDelta(const RegionDelta &D) {
+  // A region's first delta may arrive before any create event for it (it
+  // predates the session), so the delta itself brings the region in.
+  if (D.HasMem && !Mem.hasRegion(D.S))
+    Mem.addRegion(D.S, 0);
   if (D.Snapshot) {
-    if (D.HasMem) {
-      RegionData &RD = Mem.Regions[D.S];
-      RD.Cells = D.SnapCells;
-      RD.clearDirty();
-      RD.DirtyOverflow = D.MemOverflow;
-      ++RD.Version;
-    }
+    if (D.HasMem)
+      Mem.replaceCells(D.S, D.SnapCells, D.MemOverflow);
     if (D.HasPsi) {
       RegionType &PT = Psi.Regions[D.S];
       PT.Cells = D.SnapPsi;
@@ -64,16 +62,13 @@ void MirrorSubject::applyDelta(const RegionDelta &D) {
     return;
   }
   if (D.HasMem) {
-    RegionData &RD = Mem.Regions[D.S];
     for (const Value *V : D.Tail)
-      RD.Cells.push_back(V);
+      Mem.put(D.S, V);
     for (auto [Off, V] : D.Dirty) {
-      assert(Off < RD.Cells.size() && "dirty offset past mirror extent");
-      RD.Cells[Off] = V;
-      RD.logDirty(Off);
+      bool Ok = Mem.fill(Address{Region::name(D.S), Off}, V);
+      assert(Ok && "dirty offset past mirror extent");
+      (void)Ok;
     }
-    if (!D.Tail.empty() || !D.Dirty.empty())
-      ++RD.Version;
   }
   if (D.HasPsi) {
     RegionType &PT = Psi.Regions[D.S];
@@ -105,12 +100,13 @@ void MirrorSubject::apply(CheckUnit &U) {
     case DeltaKind::RegionCreated:
       // Machine::createRegion makes both sides (Memory.addRegion +
       // Psi.addRegion); reproduce that.
-      Mem.Regions.try_emplace(Ev.R);
-      Psi.Regions.try_emplace(Ev.R);
+      if (!Mem.hasRegion(Ev.R))
+        Mem.addRegion(Ev.R, 0);
+      Psi.addRegion(Ev.R);
       break;
     case DeltaKind::RegionDropped:
-      Mem.Regions.erase(Ev.R);
-      Psi.Regions.erase(Ev.R);
+      Mem.removeRegion(Ev.R);
+      Psi.removeRegion(Ev.R);
       break;
     case DeltaKind::RegionWidened:
     case DeltaKind::ExternalMutation:
@@ -119,10 +115,15 @@ void MirrorSubject::apply(CheckUnit &U) {
   }
 
   if (U.FullSnapshot) {
-    // Wholesale rebuild: drop every region the snapshot does not list.
-    // (The journal's ExternalMutation event makes the engine resync, so
-    // no per-region dirty bookkeeping is needed.)
-    Mem.Regions.clear();
+    // Wholesale rebuild: drop every region the snapshot does not list (the
+    // listed ones are replaced cell for cell below). The journal's
+    // ExternalMutation event makes the engine resync, so no per-region
+    // dirty bookkeeping is needed.
+    RegionSet Listed;
+    for (const RegionDelta &D : U.Deltas)
+      if (D.HasMem)
+        Listed.insert(Region::name(D.S));
+    Mem.restrictTo(Listed);
     Psi.Regions.clear();
   }
   for (const RegionDelta &D : U.Deltas)
@@ -182,8 +183,8 @@ void AsyncCheckSession::buildUnit(CheckUnit &U) {
   U.Cur = M.rawTerm();
   U.Env = M.rawEnv();
 
-  // Compact layout: snapshot/tail/dirty capture below reads Cells directly,
-  // so word-written cells must be decoded first. Mutator-thread only — the
+  // Snapshot/tail/dirty capture below reads Cells directly, so
+  // word-written cells must be decoded first. Mutator-thread only — the
   // checker thread sees the already-decoded pointers in the unit.
   M.memory().decodeAll();
 

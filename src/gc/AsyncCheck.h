@@ -101,7 +101,9 @@ struct CheckUnit {
 /// The checker thread's private replica of the machine state, fed by
 /// CheckUnits. Satisfies CheckSubject, so the stock IncrementalStateCheck
 /// runs over it unchanged — same caches, same dirty-log consumption, same
-/// diagnostics.
+/// diagnostics. Its Memory is an ordinary word heap over the observer
+/// context, written only through Memory's own members; every cell keeps the
+/// machine's decoded Value pointer, so the checker never decodes a word.
 class MirrorSubject final : public CheckSubject {
 public:
   /// \p MachineCtx is used only for its SymbolTable: the mirror's context

@@ -22,19 +22,15 @@
 ///    canonical ground nodes compare by pointer in both directions. The bit
 ///    deliberately excludes *binders*, not just free variables: interning is
 ///    name-sensitive, so λt.t and λs.s are alpha-equal yet distinct nodes.
-///  * Canonical — the node went through the uniquing table (only set while
-///    interning is enabled), licensing the negative pointer-compare.
+///  * Canonical — the node went through the uniquing table of a context
+///    that marks canonical nodes (every one but an observer context, see
+///    below), licensing the negative pointer-compare.
 ///
 /// The context also owns the normalization memo caches (keyed by node
 /// pointer — sound precisely because nodes are unique — plus the
 /// LanguageLevel for types, whose M-expansions differ per level) and a
 /// Stats block with hit counters and an exclusive wall-clock accumulator
 /// for type-level work (see TypeworkTimer).
-///
-/// Interning can be disabled — `GcContext C(false)`, or process-wide via the
-/// SCAV_DISABLE_INTERN environment variable — which restores the seed's
-/// allocate-fresh behavior and turns off every fast path keyed on the bits,
-/// giving benchmarks an honest baseline (bench/e10_typework).
 ///
 /// Lifetime: transient checking phases (StateCheck) bulk-free their
 /// allocations via Arena::mark/release. Uniquing tables and memo caches
@@ -55,7 +51,6 @@
 
 #include <array>
 #include <chrono>
-#include <cstdlib>
 #include <map>
 #include <string_view>
 #include <unordered_map>
@@ -129,14 +124,7 @@ public:
     std::chrono::steady_clock::time_point Start;
   };
 
-  /// Process-wide default: interning is on unless SCAV_DISABLE_INTERN is set
-  /// in the environment (the e10 baseline toggle).
-  static bool interningEnabledByDefault() {
-    return std::getenv("SCAV_DISABLE_INTERN") == nullptr;
-  }
-
-  explicit GcContext(bool EnableInterning = interningEnabledByDefault())
-      : GcContext(nullptr, EnableInterning, /*MarkCanonicalBit=*/true) {}
+  GcContext() : GcContext(nullptr, /*MarkCanonicalBit=*/true) {}
 
   /// Observer-context constructor: shares \p SharedSyms (the mutator
   /// context's symbol table — thread-safe, see support/Symbol.h) instead of
@@ -147,8 +135,8 @@ public:
   /// contexts, where structurally equal nodes are not pointer-identical.
   /// Interning still dedupes (and memoizes) within this context; only the
   /// cross-context-unsound bit is withheld.
-  GcContext(SymbolTable &SharedSyms, bool EnableInterning)
-      : GcContext(&SharedSyms, EnableInterning, /*MarkCanonicalBit=*/false) {}
+  explicit GcContext(SymbolTable &SharedSyms)
+      : GcContext(&SharedSyms, /*MarkCanonicalBit=*/false) {}
 
   /// Session-context constructor: layers this context over \p SharedBase, a
   /// *frozen* (freeze()) context whose tables are consulted read-only before
@@ -184,19 +172,17 @@ public:
   /// thread interleaving.
   GcContext(const GcContext &SharedBase, std::string SessionNamespace)
       : OwnedSyms(nullptr), Syms(SharedBase.Syms),
-        InternOn(SharedBase.InternOn), MarkCanonical(SharedBase.MarkCanonical),
-        Base(&SharedBase), FreshTag(std::move(SessionNamespace)) {
+        MarkCanonical(SharedBase.MarkCanonical), Base(&SharedBase),
+        FreshTag(std::move(SessionNamespace)) {
     assert(SharedBase.Frozen &&
            "shared base must be frozen before sessions layer on it");
-    if (InternOn) {
-      // Sessions start with the warmed base vocabulary already available;
-      // their private tables only hold workload-specific nodes, so start
-      // them a few powers of two smaller than a standalone context's.
-      TagTable.reserve(1u << 10);
-      TypeTable.reserve(1u << 12);
-      TagNormalMemo.reserve(1u << 10);
-      TypeNormalMemo.reserve(1u << 12);
-    }
+    // Sessions start with the warmed base vocabulary already available;
+    // their private tables only hold workload-specific nodes, so start
+    // them a few powers of two smaller than a standalone context's.
+    TagTable.reserve(1u << 10);
+    TypeTable.reserve(1u << 12);
+    TagNormalMemo.reserve(1u << 10);
+    TypeNormalMemo.reserve(1u << 12);
     OmegaKind = SharedBase.OmegaKind;
     IntTagNode = SharedBase.IntTagNode;
     IntTypeNode = SharedBase.IntTypeNode;
@@ -205,20 +191,17 @@ public:
   }
 
 private:
-  GcContext(SymbolTable *Shared, bool EnableInterning, bool MarkCanonicalBit)
+  GcContext(SymbolTable *Shared, bool MarkCanonicalBit)
       : OwnedSyms(Shared ? nullptr : std::make_unique<SymbolTable>()),
-        Syms(Shared ? *Shared : *OwnedSyms), InternOn(EnableInterning),
-        MarkCanonical(MarkCanonicalBit) {
-    if (InternOn) {
-      // Collections create nodes by the tens of thousands and the tables
-      // only ever grow (Scope unwinds aside), so incremental rehashing of
-      // a near-full table is pure overhead on the hot path — and it lands
-      // inside the typework timer. Start roomy instead.
-      TagTable.reserve(1u << 14);
-      TypeTable.reserve(1u << 16);
-      TagNormalMemo.reserve(1u << 12);
-      TypeNormalMemo.reserve(1u << 14);
-    }
+        Syms(Shared ? *Shared : *OwnedSyms), MarkCanonical(MarkCanonicalBit) {
+    // Collections create nodes by the tens of thousands and the tables only
+    // ever grow (Scope unwinds aside), so incremental rehashing of a
+    // near-full table is pure overhead on the hot path — and it lands
+    // inside the typework timer. Start roomy instead.
+    TagTable.reserve(1u << 14);
+    TypeTable.reserve(1u << 16);
+    TagNormalMemo.reserve(1u << 12);
+    TypeNormalMemo.reserve(1u << 14);
     OmegaKind = Alloc.create<Kind>(Kind());
     IntTagNode = internTag(Tag(TagKind::Int));
     IntTypeNode = internType(Type(TypeKind::Int));
@@ -232,9 +215,6 @@ private:
 public:
   GcContext(const GcContext &) = delete;
   GcContext &operator=(const GcContext &) = delete;
-
-  /// True when hash-consing (and every fast path that relies on it) is on.
-  bool interningEnabled() const { return InternOn; }
 
   /// Makes this context a read-only shared base: after this call no node may
   /// be created, interned, memoized, or freshly named through it — only
@@ -343,8 +323,6 @@ public:
 
   const Kind *omega() const { return OmegaKind; }
   const Kind *arrowKind(const Kind *From, const Kind *To) {
-    if (!InternOn)
-      return Alloc.create<Kind>(Kind(From, To));
     auto Key = std::pair(From, To);
     auto It = ArrowKinds.find(Key);
     if (It != ArrowKinds.end()) {
@@ -541,8 +519,7 @@ public:
   //
   // Keyed by node pointer, which is sound because nodes are unique; the type
   // cache additionally keys on the LanguageLevel since the M equations (and
-  // hence normal forms) differ per level. Only consulted/filled while
-  // interning is enabled (Normalize.cpp).
+  // hence normal forms) differ per level (Normalize.cpp).
 
   // Session contexts fall through to the frozen base's memos: normal forms
   // of base nodes computed during warmup are shared read-only. A local miss
@@ -1153,10 +1130,6 @@ private:
 
   const Tag *internTag(Tag &&T) {
     finishTag(T);
-    if (!InternOn) {
-      assert(!Frozen && "allocating tags in a frozen shared base");
-      return Alloc.create<Tag>(std::move(T));
-    }
     // Base probe first: the frozen base holds the warm shared vocabulary
     // (collector/runtime types), the hot case for session contexts. A node
     // is inserted locally only after missing both tables, so the two are
@@ -1186,10 +1159,6 @@ private:
 
   const Type *internType(Type &&T) {
     finishType(T);
-    if (!InternOn) {
-      assert(!Frozen && "allocating types in a frozen shared base");
-      return Alloc.create<Type>(std::move(T));
-    }
     if (Base) {
       auto BIt = Base->TypeTable.find(&T);
       if (BIt != Base->TypeTable.end()) {
@@ -1239,7 +1208,6 @@ private:
   std::unique_ptr<SymbolTable> OwnedSyms;
   SymbolTable &Syms;
   Stats S;
-  bool InternOn;
   /// Whether interned nodes get FlagCanonical (off for observer contexts —
   /// see the shared-table constructor).
   bool MarkCanonical;

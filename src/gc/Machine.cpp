@@ -186,20 +186,17 @@ void Machine::recordPut(Address A, const Value *V) {
   // Fast path: a value whose shape was already inferred under this Ψ gets
   // that type (inference never looks at the destination cell, and reads Ψ
   // only through the parts the key records; see PutTypeCache).
-  bool Keyed = false;
-  if (C.interningEnabled()) {
-    PutKey.clear();
-    Keyed = appendPutKey(V, PutKey);
-    if (Keyed) {
-      auto It = PutTypeCache.find(PutKey);
-      if (It != PutTypeCache.end()) {
-        ++Stats.RecordPutCacheHits;
-        Psi.set(A, It->second);
-        return;
-      }
+  PutKey.clear();
+  bool Keyed = appendPutKey(V, PutKey);
+  if (Keyed) {
+    auto It = PutTypeCache.find(PutKey);
+    if (It != PutTypeCache.end()) {
+      ++Stats.RecordPutCacheHits;
+      Psi.set(A, It->second);
+      return;
     }
-    ++Stats.RecordPutCacheMisses;
   }
+  ++Stats.RecordPutCacheMisses;
   const Type *T = inferRuntimeType(V);
   if (!T) {
     if (TypeTrackingOkFlag) {
@@ -537,11 +534,10 @@ void Machine::applyWiden(Symbol From, Symbol To) {
         if (Ty)
           Ty = widenPsiType(Ty, From, To);
     if (RegionData *R = Mem.region(From)) {
-      // The compact layout must see every cell as a Value to rewrite its
-      // embedded annotations, then mirror the rewrite into the word image.
-      // Like the legacy in-place writes below, the re-encode is neither
-      // version-stamped nor dirty-logged: the RegionWidened journal event
-      // is the consumer's signal.
+      // Every cell must be seen as a Value to rewrite its embedded
+      // annotations; the rewrite is then mirrored into the word image. The
+      // in-place writes are neither version-stamped nor dirty-logged: the
+      // RegionWidened journal event is the consumer's signal.
       Mem.decodeRegion(*R);
       for (size_t Off = 0; Off != R->Cells.size(); ++Off) {
         const Value *Cell = R->Cells[Off];
@@ -549,8 +545,7 @@ void Machine::applyWiden(Symbol From, Symbol To) {
           continue;
         const Value *NewCell = widenValueTypes(Cell, From, To);
         R->Cells[Off] = NewCell;
-        if (Mem.compact())
-          R->Words[Off] = Mem.encodeValue(*R, NewCell);
+        R->Words[Off] = Mem.encodeValue(*R, NewCell);
       }
     }
     // Ψ cell types just changed view (M → C); cached inferences are stale.

@@ -114,10 +114,6 @@ struct MachineConfig {
   /// (vm::VmExec) and is differential-tested three ways in
   /// tests/gc_machine_vm_diff_test.
   EvalMode Eval = EvalMode::Env;
-  /// Cell representation (Memory.h): Compact tagged words by default,
-  /// Legacy pointer cells for the differential oracle. The process default
-  /// honours -DSCAV_HEAP_LEGACY and the SCAV_HEAP_LAYOUT env override.
-  HeapLayout Layout = defaultHeapLayout();
 };
 
 /// One entry of the per-step delta journal (Machine::enableDeltaJournal):
@@ -169,9 +165,9 @@ struct MachineStats {
   uint64_t IfGcTaken = 0;
   uint64_t IfGcSkipped = 0;
   /// recordPut served the Ψ cell type from the shape-keyed memo instead of
-  /// re-running inference (see Machine::PutTypeCache). With interning on,
-  /// every tracked put counts as exactly one hit or one miss — puts with
-  /// no shape key included — so the sum is the number of tracked puts.
+  /// re-running inference (see Machine::PutTypeCache). Every tracked put
+  /// counts as exactly one hit or one miss — puts with no shape key
+  /// included — so the sum is the number of tracked puts.
   uint64_t RecordPutCacheHits = 0;
   uint64_t RecordPutCacheMisses = 0;
   /// Environment-mode counters (all zero in Subst mode). EnvBindings counts
@@ -237,7 +233,7 @@ public:
 
   Machine(GcContext &C, LanguageLevel Level, MachineConfig Config = {})
       : C(C), Level(Level), Config(Config),
-        Mem(C.cd().sym(), Config.Layout, &C), Checker(C, Level, InferDiags) {
+        Mem(C.cd().sym(), C), Checker(C, Level, InferDiags) {
     Checker.setSkipCodeBodies(true);
     Checker.setTrustAddresses(true);
     Psi.addRegion(C.cd().sym());

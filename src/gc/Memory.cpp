@@ -1,11 +1,11 @@
-//===- gc/Memory.cpp - Compact-heap word encode/decode --------------------===//
+//===- gc/Memory.cpp - Heap word encode/decode ----------------------------===//
 ///
 /// \file
-/// The compact layout's value ⇄ word conversions (see HeapWord.h for the
-/// format and Memory.h for when each side is authoritative). Encoding is
-/// total: anything that does not fit a tagged word is boxed, and a Box
-/// decode returns the original pointer — so encode∘decode is structural
-/// identity for flat shapes and pointer identity for boxed ones.
+/// The heap's value ⇄ word conversions (see HeapWord.h for the format and
+/// Memory.h for when each side is authoritative). Encoding is total:
+/// anything that does not fit a tagged word is boxed, and a Box decode
+/// returns the original pointer — so encode∘decode is structural identity
+/// for flat shapes and pointer identity for boxed ones.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -13,31 +13,9 @@
 
 #include "gc/GcContext.h"
 
-#include <cstdlib>
-#include <string_view>
-
 using namespace scav;
 using namespace scav::gc;
 using namespace scav::gc::heapword;
-
-HeapLayout scav::gc::defaultHeapLayout() {
-  static HeapLayout L = [] {
-#ifdef SCAV_HEAP_LEGACY
-    HeapLayout D = HeapLayout::Legacy;
-#else
-    HeapLayout D = HeapLayout::Compact;
-#endif
-    if (const char *E = std::getenv("SCAV_HEAP_LAYOUT"); E && *E) {
-      std::string_view S(E);
-      if (S == "legacy")
-        D = HeapLayout::Legacy;
-      else if (S == "compact")
-        D = HeapLayout::Compact;
-    }
-    return D;
-  }();
-  return L;
-}
 
 uint64_t Memory::boxValue(RegionData &R, const Value *V) {
   assert(R.Boxed.size() < std::numeric_limits<uint32_t>::max());
@@ -197,46 +175,45 @@ uint64_t Memory::transcodeWord(const RegionData &Src, uint64_t W,
 }
 
 const Value *Memory::decodeWord(const RegionData &R, uint64_t W) const {
-  assert(Ctx && "decoding a compact word requires a GcContext");
   switch (tagOf(W)) {
   case WordTag::Hole:
     return nullptr;
   case WordTag::Int:
-    return Ctx->valInt(intOf(W));
+    return Ctx.valInt(intOf(W));
   case WordTag::Addr:
-    return Ctx->valAddr(
+    return Ctx.valAddr(
         Address{Region::name(IdToSym[addrRegionId(W)]), addrOffset(W)});
   case WordTag::Pair: {
     uint32_t I = indexOf(W);
-    return Ctx->valPair(decodeWord(R, R.Aux[I]),
+    return Ctx.valPair(decodeWord(R, R.Aux[I]),
                         decodeWord(R, R.Aux[I + 1]));
   }
   case WordTag::InlAddr:
   case WordTag::InrAddr: {
-    const Value *P = Ctx->valAddr(
+    const Value *P = Ctx.valAddr(
         Address{Region::name(IdToSym[addrRegionId(W)]), addrOffset(W)});
-    return tagOf(W) == WordTag::InlAddr ? Ctx->valInl(P) : Ctx->valInr(P);
+    return tagOf(W) == WordTag::InlAddr ? Ctx.valInl(P) : Ctx.valInr(P);
   }
   case WordTag::InlAux:
-    return Ctx->valInl(decodeWord(R, R.Aux[indexOf(W)]));
+    return Ctx.valInl(decodeWord(R, R.Aux[indexOf(W)]));
   case WordTag::InrAux:
-    return Ctx->valInr(decodeWord(R, R.Aux[indexOf(W)]));
+    return Ctx.valInr(decodeWord(R, R.Aux[indexOf(W)]));
   case WordTag::PackTagAux: {
     uint32_t I = indexOf(W);
-    return Ctx->valPackTag(symOf(R.Aux[I + 1]), ptrOf<Tag>(R.Aux[I + 2]),
+    return Ctx.valPackTag(symOf(R.Aux[I + 1]), ptrOf<Tag>(R.Aux[I + 2]),
                            decodeWord(R, R.Aux[I]),
                            ptrOf<Type>(R.Aux[I + 3]));
   }
   case WordTag::PackTyVarAux: {
     uint32_t I = indexOf(W);
-    return Ctx->valPackTyVar(symOf(R.Aux[I + 1]),
+    return Ctx.valPackTyVar(symOf(R.Aux[I + 1]),
                              ptrOf<RegionSet>(R.Aux[I + 2]),
                              ptrOf<Type>(R.Aux[I + 3]), decodeWord(R, R.Aux[I]),
                              ptrOf<Type>(R.Aux[I + 4]));
   }
   case WordTag::PackRegionAux: {
     uint32_t I = indexOf(W);
-    return Ctx->valPackRegion(symOf(R.Aux[I + 1]),
+    return Ctx.valPackRegion(symOf(R.Aux[I + 1]),
                               ptrOf<RegionSet>(R.Aux[I + 2]),
                               regionOf(R.Aux[I + 3]), decodeWord(R, R.Aux[I]),
                               ptrOf<Type>(R.Aux[I + 4]));
@@ -260,7 +237,7 @@ const Value *Memory::decodeCell(const RegionData &R, uint32_t Off) const {
 }
 
 void Memory::decodeRegion(const RegionData &R) const {
-  if (Layout == HeapLayout::Legacy || R.Undecoded == 0)
+  if (R.Undecoded == 0)
     return;
   auto &MR = const_cast<RegionData &>(R);
   for (size_t Off = 0; Off != MR.Cells.size(); ++Off)

@@ -14,19 +14,14 @@
 /// `ifgc ρ e1 e2` ("if ρ is full"): allocation beyond capacity is allowed
 /// (the collector itself must be able to allocate), but `ifgc` reports full.
 ///
-/// Two heap layouts share this interface (DESIGN.md §3.12):
-///
-///  * Compact (default): every cell is additionally encoded as a 64-bit
-///    tagged word (HeapWord.h) in a flat per-region buffer, with region
-///    names resolved through a dense region-id table instead of hashing the
-///    symbol. Collectors and the VM write words directly; `Cells` entries
-///    are then decoded lazily (and cached) the first time a consumer needs
-///    the `const Value *` view. The invariant is Cells.size() ==
-///    Words.size(), with `Cells[i]` authoritative when non-null and
-///    `Words[i]` authoritative when Cells[i] is null (word 0 = no value).
-///  * Legacy (`-DSCAV_HEAP_LEGACY=ON`, or SCAV_HEAP_LAYOUT=legacy): the
-///    original pointer-per-cell representation, kept as the differential
-///    oracle. Words/Aux/Boxed stay empty.
+/// Cells use the compact tagged-word layout (DESIGN.md §3.12): every cell is
+/// also encoded as a 64-bit tagged word (HeapWord.h) in a flat per-region
+/// buffer, with region names resolved through a dense region-id table
+/// instead of hashing the symbol. Collectors and the VM write words
+/// directly; `Cells` entries are then decoded lazily (and cached) the first
+/// time a consumer needs the `const Value *` view. The invariant is
+/// Cells.size() == Words.size(), with `Cells[i]` authoritative when non-null
+/// and `Words[i]` authoritative when Cells[i] is null (word 0 = no value).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,34 +41,25 @@ namespace scav::gc {
 
 class GcContext;
 
-/// Which cell representation a Memory uses. Pipelines that differential-test
-/// the two run one Machine per layout over the same program.
-enum class HeapLayout { Compact, Legacy };
-
-/// Process default: Compact unless built with -DSCAV_HEAP_LEGACY=ON; the
-/// SCAV_HEAP_LAYOUT environment variable ("compact"/"legacy") overrides
-/// either build default. Sampled once.
-HeapLayout defaultHeapLayout();
-
 /// A region R: a dense bump-allocated cell array (offset = index). Regions
 /// are only ever freed wholesale (`only`), never cell by cell, so a vector
 /// models the paper's region arenas faithfully — including O(1) bulk free.
 struct RegionData {
   std::vector<const Value *> Cells;
-  /// Compact layout: the tagged-word image of each cell, parallel to Cells
-  /// (Words.size() == Cells.size() always). Empty under Legacy.
+  /// The tagged-word image of each cell, parallel to Cells (Words.size() ==
+  /// Cells.size() always).
   std::vector<uint64_t> Words;
-  /// Compact layout: child words of Pair/InlAux/InrAux cells.
+  /// Child words of Pair/InlAux/InrAux cells.
   std::vector<uint64_t> Aux;
-  /// Compact layout: side table for pointer-rich cells (Box words).
+  /// Side table for pointer-rich cells (Box words).
   std::vector<const Value *> Boxed;
-  /// Compact layout: this region's dense id (index into Memory::ById).
+  /// This region's dense id (index into Memory::ById).
   uint32_t Id = 0;
-  /// Compact layout: conservative (never under-counting) number of cells
-  /// whose Words entry is set but whose Cells entry has not been decoded
-  /// yet. Zero means every cell is visible through Cells, so decodeRegion
-  /// is O(1) — consumers that need the pointer view (checkers, fuzzers)
-  /// call it unconditionally.
+  /// Conservative (never under-counting) number of cells whose Words entry
+  /// is set but whose Cells entry has not been decoded yet. Zero means
+  /// every cell is visible through Cells, so decodeRegion is O(1) —
+  /// consumers that need the pointer view (checkers, fuzzers) call it
+  /// unconditionally.
   uint32_t Undecoded = 0;
   /// Soft capacity in cells; 0 means unlimited (never "full").
   uint32_t Capacity = 0;
@@ -218,12 +204,8 @@ public:
 /// A memory M. Always contains cd.
 class Memory {
 public:
-  /// \p Ctx decodes compact words back into Values; passing nullptr (the
-  /// mirror subject and standalone unit tests do) forces Legacy regardless
-  /// of \p Layout, since a word heap without a context cannot be read back.
-  explicit Memory(Symbol CdSym, HeapLayout Layout = HeapLayout::Legacy,
-                  GcContext *Ctx = nullptr)
-      : Ctx(Ctx), Layout(Ctx ? Layout : HeapLayout::Legacy), CdSym(CdSym) {
+  /// \p Ctx decodes words back into Values (allocating in its arena).
+  Memory(Symbol CdSym, GcContext &Ctx) : Ctx(Ctx), CdSym(CdSym) {
     addRegion(CdSym, 0);
   }
 
@@ -233,17 +215,12 @@ public:
   Memory(const Memory &) = delete;
   Memory &operator=(const Memory &) = delete;
 
-  HeapLayout layout() const { return Layout; }
-  bool compact() const { return Layout == HeapLayout::Compact; }
-
   /// Allocates a fresh region named \p S with the given soft capacity.
   void addRegion(Symbol S, uint32_t Capacity) {
     RegionData &R = Regions[S];
     R.Capacity = Capacity;
-    if (compact()) {
-      R.Id = ensureRegionId(S);
-      ById[R.Id] = &R;
-    }
+    R.Id = ensureRegionId(S);
+    ById[R.Id] = &R;
   }
 
   bool hasRegion(Symbol S) const { return regionImpl(S) != nullptr; }
@@ -266,10 +243,9 @@ public:
     if (R->Cells.size() >= std::numeric_limits<uint32_t>::max())
       return std::nullopt;
     uint32_t Off = static_cast<uint32_t>(R->Cells.size());
-    if (compact())
-      // Encode before push_back: encodeValue may grow Aux/Boxed but never
-      // Words. Eager store keeps machine-written cells always decoded.
-      R->Words.push_back(V ? encodeValue(*R, V) : heapword::Hole);
+    // Encode before push_back: encodeValue may grow Aux/Boxed but never
+    // Words. Eager store keeps machine-written cells always decoded.
+    R->Words.push_back(V ? encodeValue(*R, V) : heapword::Hole);
     R->Cells.push_back(V);
     ++R->TotalAllocated;
     ++R->Version;
@@ -278,10 +254,9 @@ public:
     return Address{Region::name(S), Off};
   }
 
-  /// Compact fast path: appends an already-encoded word to \p R (which must
-  /// be \p S's RegionData). The Cells entry stays null until decoded.
+  /// Word fast path: appends an already-encoded word to \p R (which must be
+  /// \p S's RegionData). The Cells entry stays null until decoded.
   std::optional<Address> putWord(RegionData &R, Symbol S, uint64_t W) {
-    assert(compact() && "putWord is compact-only");
     if (R.Cells.size() >= std::numeric_limits<uint32_t>::max())
       return std::nullopt;
     uint32_t Off = static_cast<uint32_t>(R.Cells.size());
@@ -304,39 +279,17 @@ public:
     assert(R && "reserveSlot into a missing region");
     assert(R->Cells.size() < std::numeric_limits<uint32_t>::max());
     uint32_t Off = static_cast<uint32_t>(R->Cells.size());
-    if (compact())
-      R->Words.push_back(heapword::Hole);
+    R->Words.push_back(heapword::Hole);
     R->Cells.push_back(nullptr);
     ++R->Version;
     return Off;
   }
 
-  /// Bulk-appends \p Vs at fresh offsets in region \p S (one Version bump).
-  /// The parallel collector's serial epilogue installs each worker's copied
-  /// cells this way; like put, fresh cells are not dirty-logged — consumers
+  /// Bulk append of already-encoded words (the parallel copy's epilogue;
+  /// word aux/box indices must already be rebased into \p R's tables). One
+  /// Version bump; like put, fresh cells are not dirty-logged — consumers
   /// see them from Cells.size() growth.
-  bool appendCells(Symbol S, const std::vector<const Value *> &Vs) {
-    RegionData *R = region(S);
-    if (!R)
-      return false;
-    if (R->Cells.size() + Vs.size() >= std::numeric_limits<uint32_t>::max())
-      return false;
-    if (compact())
-      for (const Value *V : Vs)
-        R->Words.push_back(V ? encodeValue(*R, V) : heapword::Hole);
-    R->Cells.insert(R->Cells.end(), Vs.begin(), Vs.end());
-    R->TotalAllocated += Vs.size();
-    ++R->Version;
-    if (S != CdSym)
-      LiveData += Vs.size();
-    return true;
-  }
-
-  /// Compact bulk append of already-encoded words (the parallel compact
-  /// copy's epilogue; word aux/box indices must already be rebased into
-  /// \p R's tables). One Version bump, fresh cells not dirty-logged.
   bool appendWords(RegionData &R, Symbol S, const std::vector<uint64_t> &Ws) {
-    assert(compact() && "appendWords is compact-only");
     if (R.Cells.size() + Ws.size() >= std::numeric_limits<uint32_t>::max())
       return false;
     R.Words.insert(R.Words.end(), Ws.begin(), Ws.end());
@@ -349,14 +302,39 @@ public:
     return true;
   }
 
-  /// \returns the value stored at \p A, or nullptr. Compact cells written
-  /// as raw words are decoded (and the decode cached) on first read.
+  /// Replaces every cell of region \p S with \p Vs (the async checker
+  /// mirror's snapshot deltas). Version is bumped, never reset, so a
+  /// consumer's remembered stamp cannot match the new contents by
+  /// accident. The dirty log is cleared; \p AllDirty instead marks it
+  /// overflowed ("every established offset may be dirty").
+  bool replaceCells(Symbol S, const std::vector<const Value *> &Vs,
+                    bool AllDirty) {
+    RegionData *R = region(S);
+    if (!R || Vs.size() >= std::numeric_limits<uint32_t>::max())
+      return false;
+    if (S != CdSym)
+      LiveData = LiveData - R->Cells.size() + Vs.size();
+    R->Words.clear();
+    R->Aux.clear();
+    R->Boxed.clear();
+    R->Words.reserve(Vs.size());
+    for (const Value *V : Vs)
+      R->Words.push_back(V ? encodeValue(*R, V) : heapword::Hole);
+    R->Cells = Vs;
+    R->Undecoded = 0;
+    ++R->Version;
+    R->clearDirty();
+    R->DirtyOverflow = AllDirty;
+    return true;
+  }
+
+  /// \returns the value stored at \p A, or nullptr. Cells written as raw
+  /// words are decoded (and the decode cached) on first read.
   const Value *get(Address A) const {
     const RegionData *R = regionImpl(A.R.sym());
     if (!R || A.Offset >= R->Cells.size())
       return nullptr;
-    const Value *V = R->Cells[A.Offset];
-    if (V || Layout == HeapLayout::Legacy)
+    if (const Value *V = R->Cells[A.Offset])
       return V;
     return R->Words[A.Offset] == heapword::Hole ? nullptr
                                                 : decodeCell(*R, A.Offset);
@@ -368,18 +346,16 @@ public:
     RegionData *R = region(A.R.sym());
     if (!R || A.Offset >= R->Cells.size())
       return false;
-    if (compact())
-      R->Words[A.Offset] = V ? encodeValue(*R, V) : heapword::Hole;
+    R->Words[A.Offset] = V ? encodeValue(*R, V) : heapword::Hole;
     R->Cells[A.Offset] = V;
     ++R->Version;
     R->logDirty(A.Offset);
     return true;
   }
 
-  /// Compact Cheney fast path: fill with an already-encoded word. Same
-  /// stamps as fill (Version + dirty log); the decode is left lazy.
+  /// Cheney fast path: fill with an already-encoded word. Same stamps as
+  /// fill (Version + dirty log); the decode is left lazy.
   bool fillWord(RegionData &R, Address A, uint64_t W) {
-    assert(compact() && "fillWord is compact-only");
     if (A.Offset >= R.Words.size())
       return false;
     R.Words[A.Offset] = W;
@@ -397,22 +373,18 @@ public:
     RegionData *R = region(A.R.sym());
     if (!R || A.Offset >= R->Cells.size())
       return false;
-    if (!R->Cells[A.Offset] &&
-        (Layout == HeapLayout::Legacy ||
-         R->Words[A.Offset] == heapword::Hole))
+    if (!R->Cells[A.Offset] && R->Words[A.Offset] == heapword::Hole)
       return false;
-    if (compact())
-      R->Words[A.Offset] = encodeValue(*R, V);
+    R->Words[A.Offset] = encodeValue(*R, V);
     R->Cells[A.Offset] = V;
     ++R->Version;
     R->logDirty(A.Offset);
     return true;
   }
 
-  /// Compact `set` fast path: overwrite an established cell with an
-  /// already-encoded word (the VM skips materializing the source value).
+  /// `set` fast path: overwrite an established cell with an already-encoded
+  /// word (the VM skips materializing the source value).
   bool updateWord(RegionData &R, Address A, uint64_t W) {
-    assert(compact() && "updateWord is compact-only");
     if (A.Offset >= R.Words.size())
       return false;
     if (!R.Cells[A.Offset] && R.Words[A.Offset] == heapword::Hole)
@@ -434,13 +406,19 @@ public:
         ++It;
         continue;
       }
-      LiveData -= It->second.Cells.size();
-      if (compact())
-        ById[It->second.Id] = nullptr;
-      It = Regions.erase(It);
+      It = dropRegion(It);
       ++Reclaimed;
     }
     return Reclaimed;
+  }
+
+  /// Drops the single region \p S (never cd). \returns false if absent.
+  bool removeRegion(Symbol S) {
+    auto It = Regions.find(S);
+    if (S == CdSym || It == Regions.end())
+      return false;
+    dropRegion(It);
+    return true;
   }
 
   /// "ρ is full" for ifgc: at least Capacity cells live (0 = never full).
@@ -472,16 +450,14 @@ public:
   /// any GcContext::Scope those consumers open: decoded values are cached
   /// in Cells and must not be allocated under a scope that rolls back.
   void decodeAll() const {
-    if (Layout == HeapLayout::Legacy)
-      return;
     for (const auto &[S, R] : Regions)
       decodeRegion(R);
   }
 
-  /// Compact layout: live RegionData for a dense region id, or nullptr if
-  /// the id is unassigned or its region was reclaimed. The VM's word frame
-  /// slots and Addr words resolve their region this way — one vector index
-  /// instead of a symbol hash.
+  /// Live RegionData for a dense region id, or nullptr if the id is
+  /// unassigned or its region was reclaimed. The VM's word frame slots and
+  /// Addr words resolve their region this way — one vector index instead
+  /// of a symbol hash.
   RegionData *regionById(uint32_t Id) {
     return Id < ById.size() ? ById[Id] : nullptr;
   }
@@ -522,49 +498,53 @@ public:
   size_t numRegions() const { return Regions.size(); }
 
   /// Live cells across all regions except cd. O(1): a running counter
-  /// maintained by put/appendCells/restrictTo (the only paths that grow or
-  /// drop data-region cells) — it is read from the per-step trace counter
-  /// track, where an O(regions) sum was measurable.
+  /// maintained by put/appendWords/replaceCells and the region drops (the
+  /// only paths that grow or drop data-region cells) — it is read from the
+  /// per-step trace counter track, where an O(regions) sum was measurable.
   size_t liveDataCells() const { return LiveData; }
 
   /// Keyed by region-name symbol. Unordered on purpose (see MemoryType):
   /// iteration sites (restrictTo, liveDataCells, heap growth, the native
   /// collector's keep-set, state checking) are all order-insensitive, and
-  /// `only`'s scan plus the per-put region lookup are hot (E5). The map
-  /// stays the owner even under Compact — its node-stable addresses are
-  /// what ById points at; compact lookups just bypass the hashing.
+  /// `only`'s scan plus the per-put region lookup are hot (E5). The map is
+  /// the owner — its node-stable addresses are what ById points at; lookups
+  /// just bypass the hashing. Entries are added and dropped only through
+  /// the members above, which keep ById in step.
   std::unordered_map<Symbol, RegionData, SymbolHash> Regions;
 
 private:
   static constexpr uint32_t InvalidId =
       std::numeric_limits<uint32_t>::max();
 
-  /// Layout-dispatched lookup: dense table under Compact, hash under
-  /// Legacy. ById entries are nulled by restrictTo, so a hit is live.
+  using RegionIt = std::unordered_map<Symbol, RegionData, SymbolHash>::iterator;
+
+  /// Dense-table lookup. ById entries are nulled when a region is dropped,
+  /// so a hit is live.
   const RegionData *regionImpl(Symbol S) const {
-    if (Layout == HeapLayout::Compact) {
-      uint32_t Sid = S.id();
-      if (Sid >= SymToId.size())
-        return nullptr;
-      uint32_t Id = SymToId[Sid];
-      return Id == InvalidId ? nullptr : ById[Id];
-    }
-    auto It = Regions.find(S);
-    return It == Regions.end() ? nullptr : &It->second;
+    uint32_t Sid = S.id();
+    if (Sid >= SymToId.size())
+      return nullptr;
+    uint32_t Id = SymToId[Sid];
+    return Id == InvalidId ? nullptr : ById[Id];
+  }
+
+  RegionIt dropRegion(RegionIt It) {
+    LiveData -= It->second.Cells.size();
+    ById[It->second.Id] = nullptr;
+    return Regions.erase(It);
   }
 
   uint64_t boxValue(RegionData &R, const Value *V);
 
-  GcContext *Ctx;
-  HeapLayout Layout;
+  GcContext &Ctx;
   Symbol CdSym;
   /// Running liveDataCells() counter (cells in non-cd regions).
   size_t LiveData = 0;
-  /// Compact: Symbol::id() → dense region id (InvalidId = none yet).
+  /// Symbol::id() → dense region id (InvalidId = none yet).
   std::vector<uint32_t> SymToId;
-  /// Compact: dense region id → symbol. Append-only.
+  /// Dense region id → symbol. Append-only.
   std::vector<Symbol> IdToSym;
-  /// Compact: dense region id → live RegionData (null once dropped).
+  /// Dense region id → live RegionData (null once dropped).
   std::vector<RegionData *> ById;
 };
 

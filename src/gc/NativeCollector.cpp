@@ -7,9 +7,7 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -20,516 +18,30 @@ using namespace scav::gc;
 
 namespace {
 
-struct NativeGc {
-  Machine &M;
-  GcContext &C;
-  Symbol FromSym;
-  Symbol ToSym;
-  bool PreserveSharing;
-  NativeGcStats &Stats;
-  std::map<uint32_t, uint32_t> Forwarding; // from-offset → to-offset
-
-  const Value *relocate(const Value *V) {
-    switch (V->kind()) {
-    case ValueKind::Int:
-    case ValueKind::Var:
-    case ValueKind::Code:
-      return V;
-    case ValueKind::Addr: {
-      Address A = V->address();
-      if (A.R.sym() != FromSym)
-        return V; // cd or another surviving region
-      return C.valAddr(copyCell(A));
-    }
-    case ValueKind::Pair:
-      return C.valPair(relocate(V->first()), relocate(V->second()));
-    case ValueKind::Inl:
-      return C.valInl(relocate(V->payload()));
-    case ValueKind::Inr:
-      return C.valInr(relocate(V->payload()));
-    case ValueKind::PackTag:
-      return C.valPackTag(V->var(), V->tagWitness(), relocate(V->payload()),
-                          retarget(V->bodyType()));
-    case ValueKind::PackTyVar:
-      return C.valPackTyVar(V->var(), retargetSet(V->delta()),
-                            retarget(V->typeWitness()),
-                            relocate(V->payload()), retarget(V->bodyType()));
-    case ValueKind::PackRegion: {
-      Region W = V->regionWitness();
-      if (W.isName() && W.sym() == FromSym)
-        W = Region::name(ToSym);
-      return C.valPackRegion(V->var(), retargetSet(V->delta()), W,
-                             relocate(V->payload()), retarget(V->bodyType()));
-    }
-    case ValueKind::TransApp: {
-      std::vector<Region> Rs;
-      for (Region R : V->transRegions())
-        Rs.push_back(R.isName() && R.sym() == FromSym ? Region::name(ToSym)
-                                                      : R);
-      return C.valTransApp(relocate(V->payload()), V->transTags(),
-                           std::move(Rs));
-    }
-    }
-    return V;
-  }
-
-  Address copyCell(Address A) {
-    if (PreserveSharing) {
-      auto It = Forwarding.find(A.Offset);
-      if (It != Forwarding.end()) {
-        ++Stats.ForwardingHits;
-        return Address{Region::name(ToSym), It->second};
-      }
-    }
-    const Value *Cell = M.memory().get(A);
-    assert(Cell && "native collector hit a dangling address");
-    // Depth-first copy; reserve the slot before descending so cycles would
-    // at least terminate (the λGC heaps here are acyclic, like the paper's).
-    const Value *Copied = relocate(Cell);
-    std::optional<Address> NewA = M.memory().put(ToSym, Copied);
-    assert(NewA && "to-region vanished during native collection");
-    ++Stats.ObjectsCopied;
-    if (PreserveSharing)
-      Forwarding[A.Offset] = NewA->Offset;
-    if (M.config().TrackTypes) {
-      const Type *T = M.psi().lookup(A);
-      if (T)
-        M.psi().set(*NewA, retarget(T));
-    }
-    return *NewA;
-  }
-
-  /// Renames the from-region to the to-region inside recorded cell types.
-  const Type *retarget(const Type *T) {
-    return M.renameRegionName(T, FromSym, ToSym);
-  }
-
-  RegionSet retargetSet(const RegionSet &RS) {
-    RegionSet Out;
-    for (Region R : RS)
-      Out.insert(R.isName() && R.sym() == FromSym ? Region::name(ToSym) : R);
-    return Out;
-  }
-};
-
-} // namespace
-
-namespace {
-
-/// Cheney-style breadth-first copy: slots are reserved in arrival order
-/// (the reservation doubles as the forwarding pointer), and a queue of
-/// pending from-cells plays the role of the scan pointer. Sharing is
-/// inherently preserved.
-struct CheneyGc {
-  Machine &M;
-  GcContext &C;
-  Symbol FromSym;
-  Symbol ToSym;
-  NativeGcStats &Stats;
-  std::map<uint32_t, uint32_t> Forwarding;
-  std::deque<uint32_t> Queue; // from-offsets with a reserved to-slot
-
-  Address reserve(Address A) {
-    auto It = Forwarding.find(A.Offset);
-    if (It != Forwarding.end()) {
-      ++Stats.ForwardingHits;
-      return Address{Region::name(ToSym), It->second};
-    }
-    std::optional<Address> Slot = M.memory().put(ToSym, nullptr);
-    assert(Slot && "to-region vanished");
-    Forwarding[A.Offset] = Slot->Offset;
-    Queue.push_back(A.Offset);
-    return *Slot;
-  }
-
-  /// Rewrites one value shallowly: from-addresses become reserved to-slots.
-  const Value *scan(const Value *V) {
-    switch (V->kind()) {
-    case ValueKind::Int:
-    case ValueKind::Var:
-    case ValueKind::Code:
-      return V;
-    case ValueKind::Addr: {
-      Address A = V->address();
-      if (A.R.sym() != FromSym)
-        return V;
-      return C.valAddr(reserve(A));
-    }
-    case ValueKind::Pair:
-      return C.valPair(scan(V->first()), scan(V->second()));
-    case ValueKind::Inl:
-      return C.valInl(scan(V->payload()));
-    case ValueKind::Inr:
-      return C.valInr(scan(V->payload()));
-    case ValueKind::PackTag:
-      return C.valPackTag(V->var(), V->tagWitness(), scan(V->payload()),
-                          M.renameRegionName(V->bodyType(), FromSym, ToSym));
-    case ValueKind::PackTyVar:
-      return C.valPackTyVar(
-          V->var(), retargetSet(V->delta()),
-          M.renameRegionName(V->typeWitness(), FromSym, ToSym),
-          scan(V->payload()),
-          M.renameRegionName(V->bodyType(), FromSym, ToSym));
-    case ValueKind::PackRegion: {
-      Region W = V->regionWitness();
-      if (W.isName() && W.sym() == FromSym)
-        W = Region::name(ToSym);
-      return C.valPackRegion(
-          V->var(), retargetSet(V->delta()), W, scan(V->payload()),
-          M.renameRegionName(V->bodyType(), FromSym, ToSym));
-    }
-    case ValueKind::TransApp: {
-      std::vector<Region> Rs;
-      for (Region R : V->transRegions())
-        Rs.push_back(R.isName() && R.sym() == FromSym ? Region::name(ToSym)
-                                                      : R);
-      return C.valTransApp(scan(V->payload()), V->transTags(),
-                           std::move(Rs));
-    }
-    }
-    return V;
-  }
-
-  RegionSet retargetSet(const RegionSet &RS) {
-    RegionSet Out;
-    for (Region R : RS)
-      Out.insert(R.isName() && R.sym() == FromSym ? Region::name(ToSym) : R);
-    return Out;
-  }
-
-  void drain() {
-    while (!Queue.empty()) {
-      uint32_t FromOff = Queue.front();
-      Queue.pop_front();
-      Address FromA{Region::name(FromSym), FromOff};
-      const Value *Cell = M.memory().get(FromA);
-      assert(Cell && "Cheney scan hit a dangling cell");
-      Address ToA{Region::name(ToSym), Forwarding[FromOff]};
-      M.memory().fill(ToA, scan(Cell));
-      ++Stats.ObjectsCopied;
-      if (M.config().TrackTypes) {
-        if (const Type *T = M.psi().lookup(FromA))
-          M.psi().set(ToA, M.renameRegionName(T, FromSym, ToSym));
-      }
-    }
-  }
-};
-
-/// Parallel Cheney copy. The from-space is frozen (the mutator is parked),
-/// so the only shared mutable state during the copy is the forwarding
-/// array: one atomic per from-cell, UNCLAIMED → PENDING (CAS winner is the
-/// copier) → the to-offset, drawn from one atomic bump counter. Workers
-/// build copied values in private arenas through ValueBuilder and record
-/// (to-offset, value) pairs; a serial epilogue assembles the to-region with
-/// one Memory::appendCells, rewrites Ψ, and adopts the arenas into the
-/// machine's context. Work is distributed in chunks through per-worker
-/// ChunkDeques (owner pops newest, thieves steal oldest); termination is a
-/// count of claimed-but-unscanned cells hitting zero — claims only happen
-/// inside a scan (or the serial root scan before workers start), so the
-/// count cannot re-rise from zero.
-struct ParallelCheney {
-  static constexpr uint32_t Unclaimed = 0xFFFFFFFFu;
-  static constexpr uint32_t Pending = 0xFFFFFFFEu;
-  static constexpr size_t ChunkSize = 64;
-  /// Smallest local stack worth half-splitting into the public deque.
-  static constexpr size_t MinSplit = 4;
-
-  struct Worker {
-    unsigned Id = 0;
-    std::unique_ptr<Arena> Mem;
-    std::unique_ptr<ValueBuilder> B;
-    std::vector<uint32_t> Local; ///< Active work, hottest at the back.
-    ChunkDeque<uint32_t> Deque;  ///< Published chunks, stealable.
-    std::vector<std::pair<uint32_t, const Value *>> Results;
-    /// Per-worker memo for renamed types: keeps RenameMu traffic down to
-    /// one lock per distinct annotation type per worker.
-    std::unordered_map<const Type *, const Type *> RenameCache;
-    uint64_t Objects = 0, Hits = 0, Steals = 0, Chunks = 0, CopyNs = 0;
-  };
-
-  Machine &M;
-  Symbol FromSym;
-  Symbol ToSym;
-  const std::vector<const Value *> &FromCells;
-  std::unique_ptr<std::atomic<uint32_t>[]> Fwd;
-  std::atomic<uint32_t> NextTo{0};
-  std::atomic<int64_t> Unscanned{0};
-  /// Serializes renameRegionName: it interns into the machine's (single-
-  /// threaded) GcContext. Cold — annotation types are few and memoized.
-  std::mutex RenameMu;
-  std::vector<Worker> Workers;
-
-  ParallelCheney(Machine &M, Symbol FromSym, Symbol ToSym, unsigned NThreads)
-      : M(M), FromSym(FromSym), ToSym(ToSym),
-        FromCells(M.memory().region(FromSym)->Cells),
-        Fwd(new std::atomic<uint32_t>[FromCells.size()]),
-        Workers(NThreads) {
-    for (size_t I = 0; I < FromCells.size(); ++I)
-      Fwd[I].store(Unclaimed, std::memory_order_relaxed);
-    for (unsigned I = 0; I < NThreads; ++I) {
-      Workers[I].Id = I;
-      Workers[I].Mem = std::make_unique<Arena>();
-      Workers[I].B = std::make_unique<ValueBuilder>(*Workers[I].Mem);
-    }
-  }
-
-  /// Claims the to-slot for from-offset \p Off; newly claimed offsets are
-  /// appended to \p NewWork (they still need scanning).
-  uint32_t claim(uint32_t Off, std::vector<uint32_t> &NewWork,
-                 uint64_t &Hits) {
-    std::atomic<uint32_t> &Slot = Fwd[Off];
-    uint32_t Cur = Slot.load(std::memory_order_acquire);
-    for (;;) {
-      if (Cur == Unclaimed) {
-        if (Slot.compare_exchange_weak(Cur, Pending,
-                                       std::memory_order_acq_rel,
-                                       std::memory_order_acquire)) {
-          uint32_t ToOff = NextTo.fetch_add(1, std::memory_order_relaxed);
-          Unscanned.fetch_add(1, std::memory_order_relaxed);
-          Slot.store(ToOff, std::memory_order_release);
-          NewWork.push_back(Off);
-          return ToOff;
-        }
-        continue; // Cur was refreshed by the failed CAS.
-      }
-      if (Cur != Pending) {
-        ++Hits;
-        return Cur;
-      }
-      // Another worker won the CAS and is about to publish the to-offset.
-      Cur = Slot.load(std::memory_order_acquire);
-    }
-  }
-
-  const Type *renameType(const Type *T, Worker &W) {
-    if (!T)
-      return nullptr;
-    auto It = W.RenameCache.find(T);
-    if (It != W.RenameCache.end())
-      return It->second;
-    const Type *R;
-    {
-      std::lock_guard<std::mutex> L(RenameMu);
-      R = M.renameRegionName(T, FromSym, ToSym);
-    }
-    W.RenameCache.emplace(T, R);
-    return R;
-  }
-
-  RegionSet retargetSet(const RegionSet &RS) {
-    RegionSet Out;
-    for (Region R : RS)
-      Out.insert(R.isName() && R.sym() == FromSym ? Region::name(ToSym) : R);
-    return Out;
-  }
-
-  /// Shallow rewrite of one value into \p W's arena: from-addresses become
-  /// claimed to-slots, annotation types are retargeted. Mirrors
-  /// CheneyGc::scan exactly so the two paths copy isomorphic graphs.
-  const Value *scanValue(const Value *V, Worker &W) {
-    ValueBuilder &B = *W.B;
-    switch (V->kind()) {
-    case ValueKind::Int:
-    case ValueKind::Var:
-    case ValueKind::Code:
-      return V;
-    case ValueKind::Addr: {
-      Address A = V->address();
-      if (A.R.sym() != FromSym)
-        return V;
-      uint32_t ToOff = claim(A.Offset, W.Local, W.Hits);
-      maybePublish(W);
-      return B.valAddr(Address{Region::name(ToSym), ToOff});
-    }
-    case ValueKind::Pair:
-      return B.valPair(scanValue(V->first(), W), scanValue(V->second(), W));
-    case ValueKind::Inl:
-      return B.valInl(scanValue(V->payload(), W));
-    case ValueKind::Inr:
-      return B.valInr(scanValue(V->payload(), W));
-    case ValueKind::PackTag:
-      return B.valPackTag(V->var(), V->tagWitness(),
-                          scanValue(V->payload(), W),
-                          renameType(V->bodyType(), W));
-    case ValueKind::PackTyVar:
-      return B.valPackTyVar(V->var(), retargetSet(V->delta()),
-                            renameType(V->typeWitness(), W),
-                            scanValue(V->payload(), W),
-                            renameType(V->bodyType(), W));
-    case ValueKind::PackRegion: {
-      Region Witness = V->regionWitness();
-      if (Witness.isName() && Witness.sym() == FromSym)
-        Witness = Region::name(ToSym);
-      return B.valPackRegion(V->var(), retargetSet(V->delta()), Witness,
-                             scanValue(V->payload(), W),
-                             renameType(V->bodyType(), W));
-    }
-    case ValueKind::TransApp: {
-      std::vector<Region> Rs;
-      for (Region R : V->transRegions())
-        Rs.push_back(R.isName() && R.sym() == FromSym ? Region::name(ToSym)
-                                                      : R);
-      return B.valTransApp(scanValue(V->payload(), W), V->transTags(),
-                           std::move(Rs));
-    }
-    }
-    return V;
-  }
-
-  /// Shares part of \p W's local work, keeping the hot tail for the owner.
-  /// Two triggers: a full chunk once the stack piles up, and — because a
-  /// depth-first local stack over a binary heap never grows past the heap
-  /// *depth* (~20 entries for a million-cell tree, far short of any fixed
-  /// chunk threshold) — an eager half-split of the older entries whenever
-  /// the worker's public deque has run empty. The oldest entries sit
-  /// closest to the root and fan out the widest, so thieves get the
-  /// biggest subtrees.
-  void maybePublish(Worker &W) {
-    size_t Share = 0;
-    if (W.Local.size() >= 2 * ChunkSize)
-      Share = ChunkSize;
-    else if (W.Local.size() >= MinSplit && W.Deque.empty())
-      Share = W.Local.size() / 2;
-    if (Share == 0)
-      return;
-    std::vector<uint32_t> Chunk(W.Local.begin(), W.Local.begin() + Share);
-    W.Local.erase(W.Local.begin(), W.Local.begin() + Share);
-    W.Deque.push(std::move(Chunk));
-    ++W.Chunks;
-  }
-
-  void scanCell(uint32_t FromOff, Worker &W) {
-    const Value *Cell = FromCells[FromOff];
-    assert(Cell && "parallel Cheney scan hit a dangling cell");
-    const Value *Copied = scanValue(Cell, W);
-    uint32_t ToOff = Fwd[FromOff].load(std::memory_order_acquire);
-    assert(ToOff != Unclaimed && ToOff != Pending && "scanning unclaimed cell");
-    W.Results.emplace_back(ToOff, Copied);
-    ++W.Objects;
-    Unscanned.fetch_sub(1, std::memory_order_release);
-  }
-
-  void workerLoop(Worker &W) {
-    auto Start = std::chrono::steady_clock::now();
-    std::vector<uint32_t> Buf;
-    for (;;) {
-      if (!W.Local.empty()) {
-        uint32_t Off = W.Local.back();
-        W.Local.pop_back();
-        scanCell(Off, W);
-        continue;
-      }
-      if (W.Deque.pop(Buf)) {
-        W.Local = std::move(Buf);
-        Buf.clear();
-        continue;
-      }
-      bool Stole = false;
-      for (size_t I = 1; I < Workers.size() && !Stole; ++I) {
-        Worker &Victim = Workers[(W.Id + I) % Workers.size()];
-        if (Victim.Deque.steal(Buf)) {
-          W.Local = std::move(Buf);
-          Buf.clear();
-          ++W.Steals;
-          Stole = true;
-        }
-      }
-      if (Stole)
-        continue;
-      if (Unscanned.load(std::memory_order_acquire) == 0)
-        break;
-      std::this_thread::yield();
-    }
-    W.CopyNs = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - Start)
-            .count());
-  }
-
-  /// Runs the full collection: serial root scan, parallel drain, serial
-  /// epilogue. Returns the relocated root.
-  const Value *collect(const Value *Root, NativeGcStats &Stats) {
-    // Root scan on the mutator thread: claims seed work, values built in
-    // worker 0's arena (adopted below like every other worker arena).
-    Worker &RootW = Workers[0];
-    const Value *NewRoot = scanValue(Root, RootW);
-    // Deal the seed work round-robin so every worker starts busy.
-    {
-      std::vector<uint32_t> Seeds = std::move(RootW.Local);
-      RootW.Local.clear();
-      std::vector<std::vector<uint32_t>> Split(Workers.size());
-      for (size_t I = 0; I < Seeds.size(); ++I)
-        Split[I % Workers.size()].push_back(Seeds[I]);
-      for (size_t I = 0; I < Workers.size(); ++I)
-        if (!Split[I].empty())
-          Workers[I].Local = std::move(Split[I]);
-    }
-    std::vector<std::thread> Threads;
-    Threads.reserve(Workers.size());
-    for (Worker &W : Workers)
-      Threads.emplace_back([this, &W] {
-        TRACE_SCOPE("collector", "native.worker");
-        workerLoop(W);
-      });
-    for (std::thread &T : Threads)
-      T.join();
-    assert(Unscanned.load() == 0 && "workers exited with pending cells");
-
-    // Serial epilogue: assemble the to-region in to-offset order and
-    // install it with one bulk append.
-    std::vector<const Value *> ToCells(NextTo.load(), nullptr);
-    for (Worker &W : Workers)
-      for (auto &[ToOff, V] : W.Results) {
-        assert(!ToCells[ToOff] && "two workers copied one cell");
-        ToCells[ToOff] = V;
-      }
-    bool Ok = M.memory().appendCells(ToSym, ToCells);
-    assert(Ok && "to-region vanished during parallel collection");
-    (void)Ok;
-    if (M.config().TrackTypes) {
-      // Ascending from-offset order: deterministic Ψ dirty footprint.
-      for (uint32_t Off = 0; Off < FromCells.size(); ++Off) {
-        uint32_t ToOff = Fwd[Off].load(std::memory_order_relaxed);
-        if (ToOff == Unclaimed)
-          continue;
-        if (const Type *T = M.psi().lookup(Address{Region::name(FromSym), Off}))
-          M.psi().set(Address{Region::name(ToSym), ToOff},
-                      M.renameRegionName(T, FromSym, ToSym));
-      }
-    }
-    Stats.Workers = static_cast<unsigned>(Workers.size());
-    for (Worker &W : Workers) {
-      Stats.ObjectsCopied += W.Objects;
-      Stats.ForwardingHits += W.Hits;
-      Stats.Steals += W.Steals;
-      Stats.ChunksPublished += W.Chunks;
-      Stats.WorkerCopyNs.push_back(W.CopyNs);
-      Stats.WorkerObjects.push_back(W.Objects);
-      M.context().adoptArena(std::move(W.Mem));
-    }
-    return NewRoot;
-  }
-};
-
-//===----------------------------------------------------------------------===//
-// Compact-layout copies: word-level twins of the three paths above
-//===----------------------------------------------------------------------===//
+// Cells are 64-bit tagged words (Memory.h), so the copy loops move words
+// between flat buffers and fix up region-id/offset payloads instead of
+// rebuilding Value trees — only Box cells (the rare pointer-rich shapes)
+// fall back to a value-level rewrite, which routes from-addresses back
+// through the word-level copy, so Box and word cells share one forwarding
+// table and one to-space order.
 //
-// Under HeapLayout::Compact (Memory.h) cells are 64-bit tagged words, so the
-// copy loop moves words between flat buffers and fixes up region-id/offset
-// payloads instead of rebuilding Value trees — only Box cells (the rare
-// pointer-rich shapes) fall back to the value-level rewrite, which routes
-// from-addresses back through the word-level copy so that every path
-// produces the exact to-space cell order of its legacy twin (the
-// differential tests compare diagnostics that print addresses).
-//
-// Forwarding is a dense from-offset-indexed vector rather than a std::map:
-// the from-region is bump-allocated, so offsets are dense by construction.
+// Forwarding is a dense from-offset-indexed vector rather than a map: the
+// from-region is bump-allocated, so offsets are dense by construction.
 
 using heapword::WordTag;
 
-/// Depth-first compact copy (twin of NativeGc).
-struct NativeGcCompact {
+/// \p RS with the region name \p From replaced by \p To.
+RegionSet retargetSet(const RegionSet &RS, Symbol From, Symbol To) {
+  RegionSet Out;
+  for (Region R : RS)
+    Out.insert(R.isName() && R.sym() == From ? Region::name(To) : R);
+  return Out;
+}
+
+/// What the two serial copies share: the from/to regions, the dense
+/// forwarding table, and memoized retargeting of the type annotations that
+/// copied cells carry.
+struct SerialCopy {
   static constexpr uint32_t NoFwd = 0xFFFFFFFFu;
 
   Machine &M;
@@ -539,7 +51,6 @@ struct NativeGcCompact {
   RegionData &To;
   Symbol FromSym, ToSym;
   uint32_t FromId, ToId;
-  bool PreserveSharing;
   NativeGcStats &Stats;
   std::vector<uint32_t> Fwd; // from-offset → to-offset
   /// renameRegionName interns, so identical inputs give identical pointers;
@@ -547,12 +58,11 @@ struct NativeGcCompact {
   std::unordered_map<const Type *, const Type *> RenameCache;
   std::unordered_map<const RegionSet *, const RegionSet *> DeltaCache;
 
-  NativeGcCompact(Machine &M, Symbol FromSym, Symbol ToSym,
-                  bool PreserveSharing, NativeGcStats &Stats)
+  SerialCopy(Machine &M, Symbol FromSym, Symbol ToSym, NativeGcStats &Stats)
       : M(M), C(M.context()), Mem(M.memory()), From(*Mem.region(FromSym)),
         To(*Mem.region(ToSym)), FromSym(FromSym), ToSym(ToSym),
-        FromId(From.Id), ToId(To.Id), PreserveSharing(PreserveSharing),
-        Stats(Stats), Fwd(From.Words.size(), NoFwd) {}
+        FromId(From.Id), ToId(To.Id), Stats(Stats),
+        Fwd(From.Words.size(), NoFwd) {}
 
   const Type *retarget(const Type *T) {
     if (!T)
@@ -565,13 +75,6 @@ struct NativeGcCompact {
     return R;
   }
 
-  RegionSet retargetSet(const RegionSet &RS) {
-    RegionSet Out;
-    for (Region R : RS)
-      Out.insert(R.isName() && R.sym() == FromSym ? Region::name(ToSym) : R);
-    return Out;
-  }
-
   /// Pointer-level ∆ rewrite: cells written through one Tpl cache entry all
   /// share a delta pointer, so the memo collapses the per-cell rewrite to a
   /// hash probe (and keeps the copies sharing one to-space set).
@@ -580,14 +83,26 @@ struct NativeGcCompact {
     if (It != DeltaCache.end())
       return It->second;
     const RegionSet *Out =
-        RS->contains(Region::name(FromSym)) ? C.allocRegionSet(retargetSet(*RS))
-                                            : RS;
+        RS->contains(Region::name(FromSym))
+            ? C.allocRegionSet(retargetSet(*RS, FromSym, ToSym))
+            : RS;
     DeltaCache.emplace(RS, Out);
     return Out;
   }
+};
 
-  /// Value-level relocate for Box cells; mirrors NativeGc::relocate with
-  /// from-addresses routed through the word-level copyCell.
+/// Depth-first copy, the certified collectors' order (PreserveSharing as
+/// documented on nativeCollect).
+struct NativeGc : SerialCopy {
+  bool PreserveSharing;
+
+  NativeGc(Machine &M, Symbol FromSym, Symbol ToSym, bool PreserveSharing,
+           NativeGcStats &Stats)
+      : SerialCopy(M, FromSym, ToSym, Stats),
+        PreserveSharing(PreserveSharing) {}
+
+  /// Value-level relocate for Box cells and the root, with from-addresses
+  /// routed through the word-level copyCell.
   const Value *relocateValue(const Value *V) {
     switch (V->kind()) {
     case ValueKind::Int:
@@ -657,7 +172,7 @@ struct NativeGcCompact {
       To.Aux.push_back(heapword::Hole);
       To.Aux.push_back(heapword::Hole);
       // First child fully (descendants and all) before the second — the
-      // legacy depth-first order.
+      // depth-first order.
       uint64_t A = relocateWord(From.Aux[I]);
       uint64_t B = relocateWord(From.Aux[I + 1]);
       To.Aux[NI] = A;
@@ -737,59 +252,15 @@ struct NativeGcCompact {
   }
 };
 
-/// Serial breadth-first compact copy (twin of CheneyGc).
-struct CheneyGcCompact {
-  static constexpr uint32_t NoFwd = 0xFFFFFFFFu;
-
-  Machine &M;
-  GcContext &C;
-  Memory &Mem;
-  RegionData &From;
-  RegionData &To;
-  Symbol FromSym, ToSym;
-  uint32_t FromId, ToId;
-  NativeGcStats &Stats;
-  std::vector<uint32_t> Fwd;
+/// Cheney-style breadth-first copy: slots are reserved in arrival order
+/// (the reservation doubles as the forwarding pointer), and a queue of
+/// pending from-cells plays the role of the scan pointer. Sharing is
+/// inherently preserved.
+struct CheneyGc : SerialCopy {
   std::deque<uint32_t> Queue; // from-offsets with a reserved to-slot
-  std::unordered_map<const Type *, const Type *> RenameCache;
-  std::unordered_map<const RegionSet *, const RegionSet *> DeltaCache;
 
-  CheneyGcCompact(Machine &M, Symbol FromSym, Symbol ToSym,
-                  NativeGcStats &Stats)
-      : M(M), C(M.context()), Mem(M.memory()), From(*Mem.region(FromSym)),
-        To(*Mem.region(ToSym)), FromSym(FromSym), ToSym(ToSym),
-        FromId(From.Id), ToId(To.Id), Stats(Stats),
-        Fwd(From.Words.size(), NoFwd) {}
-
-  const Type *retarget(const Type *T) {
-    if (!T)
-      return nullptr;
-    auto It = RenameCache.find(T);
-    if (It != RenameCache.end())
-      return It->second;
-    const Type *R = M.renameRegionName(T, FromSym, ToSym);
-    RenameCache.emplace(T, R);
-    return R;
-  }
-
-  RegionSet retargetSet(const RegionSet &RS) {
-    RegionSet Out;
-    for (Region R : RS)
-      Out.insert(R.isName() && R.sym() == FromSym ? Region::name(ToSym) : R);
-    return Out;
-  }
-
-  /// See NativeGcCompact::retargetDelta.
-  const RegionSet *retargetDelta(const RegionSet *RS) {
-    auto It = DeltaCache.find(RS);
-    if (It != DeltaCache.end())
-      return It->second;
-    const RegionSet *Out =
-        RS->contains(Region::name(FromSym)) ? C.allocRegionSet(retargetSet(*RS))
-                                            : RS;
-    DeltaCache.emplace(RS, Out);
-    return Out;
-  }
+  CheneyGc(Machine &M, Symbol FromSym, Symbol ToSym, NativeGcStats &Stats)
+      : SerialCopy(M, FromSym, ToSym, Stats) {}
 
   uint32_t reserve(uint32_t FromOff) {
     assert(FromOff < From.Words.size() && "Cheney reserve past from extent");
@@ -804,8 +275,8 @@ struct CheneyGcCompact {
     return Slot->Offset;
   }
 
-  /// Value-level shallow scan for Box cells and the root; mirrors
-  /// CheneyGc::scan with reservations through the word-level table.
+  /// Value-level shallow scan for Box cells and the root, with
+  /// reservations through the word-level table.
   const Value *scanValue(const Value *V) {
     switch (V->kind()) {
     case ValueKind::Int:
@@ -945,12 +416,20 @@ struct CheneyGcCompact {
   }
 };
 
-/// Parallel compact Cheney copy (twin of ParallelCheney): identical claim /
-/// work-stealing / termination protocol, but workers move words. Per-worker
-/// Aux/Boxed buffers hold worker-relative indices; the serial epilogue
-/// rebases them while concatenating into the to-region's tables. Box cells
-/// still build their copied Values in per-worker arenas via ValueBuilder.
-struct ParallelCheneyCompact {
+/// Parallel Cheney copy. The from-space is frozen (the mutator is parked),
+/// so the only shared mutable state during the copy is the forwarding
+/// array: one atomic per from-cell, UNCLAIMED → PENDING (CAS winner is the
+/// copier) → the to-offset, drawn from one atomic bump counter. Workers move
+/// words into private buffers; their Aux/Boxed buffers hold worker-relative
+/// indices, which a serial epilogue rebases while concatenating into the
+/// to-region's tables, then rewrites Ψ and adopts the workers' arenas into
+/// the machine's context (Box cells build their copied Values there through
+/// ValueBuilder). Work is distributed in chunks through per-worker
+/// ChunkDeques (owner pops newest, thieves steal oldest); termination is a
+/// count of claimed-but-unscanned cells hitting zero — claims only happen
+/// inside a scan (or the serial root scan before workers start), so the
+/// count cannot re-rise from zero.
+struct ParallelCheney {
   static constexpr uint32_t Unclaimed = 0xFFFFFFFFu;
   static constexpr uint32_t Pending = 0xFFFFFFFEu;
   static constexpr size_t ChunkSize = 64;
@@ -982,7 +461,7 @@ struct ParallelCheneyCompact {
   std::mutex RenameMu;
   std::vector<Worker> Workers;
 
-  ParallelCheneyCompact(Machine &M, Symbol FromSym, Symbol ToSym,
+  ParallelCheney(Machine &M, Symbol FromSym, Symbol ToSym,
                         unsigned NThreads)
       : M(M), Mem(M.memory()), FromSym(FromSym), ToSym(ToSym),
         From(*Mem.region(FromSym)), To(*Mem.region(ToSym)), FromId(From.Id),
@@ -1037,28 +516,22 @@ struct ParallelCheneyCompact {
     return R;
   }
 
-  RegionSet retargetSet(const RegionSet &RS) {
-    RegionSet Out;
-    for (Region R : RS)
-      Out.insert(R.isName() && R.sym() == FromSym ? Region::name(ToSym) : R);
-    return Out;
-  }
-
-  /// Per-worker twin of NativeGcCompact::retargetDelta; rewritten sets go
+  /// Per-worker twin of SerialCopy::retargetDelta; rewritten sets go
   /// into the worker's arena (adopted by the context after the join).
   const RegionSet *retargetDelta(const RegionSet *RS, Worker &W) {
     auto It = W.DeltaCache.find(RS);
     if (It != W.DeltaCache.end())
       return It->second;
     const RegionSet *Out = RS->contains(Region::name(FromSym))
-                               ? W.B->allocRegionSet(retargetSet(*RS))
+                               ? W.B->allocRegionSet(
+                                     retargetSet(*RS, FromSym, ToSym))
                                : RS;
     W.DeltaCache.emplace(RS, Out);
     return Out;
   }
 
   /// Value-level shallow rewrite for Box cells and the root, into \p W's
-  /// arena; mirrors ParallelCheney::scanValue.
+  /// arena.
   const Value *scanValue(const Value *V, Worker &W) {
     ValueBuilder &B = *W.B;
     switch (V->kind()) {
@@ -1385,35 +858,18 @@ scav::gc::nativeCollect(Machine &M, const Value *Root, Region From,
   if (Threads == 0)
     Threads = nativeGcThreads();
   GcContext &C = M.context();
-  bool Compact = M.memory().layout() == HeapLayout::Compact;
   Region To = M.createRegion("to", 0);
   const Value *NewRoot = nullptr;
   if (Order == CopyOrder::BreadthFirst && Threads > 1) {
-    if (Compact) {
-      ParallelCheneyCompact Gc(M, From.sym(), To.sym(), Threads);
-      NewRoot = Gc.collect(Root, Stats);
-    } else {
-      ParallelCheney Gc(M, From.sym(), To.sym(), Threads);
-      NewRoot = Gc.collect(Root, Stats);
-    }
+    ParallelCheney Gc(M, From.sym(), To.sym(), Threads);
+    NewRoot = Gc.collect(Root, Stats);
   } else if (Order == CopyOrder::BreadthFirst) {
-    if (Compact) {
-      CheneyGcCompact Gc(M, From.sym(), To.sym(), Stats);
-      NewRoot = Gc.scanValue(Root);
-      Gc.drain();
-    } else {
-      CheneyGc Gc{M, C, From.sym(), To.sym(), Stats, {}, {}};
-      NewRoot = Gc.scan(Root);
-      Gc.drain();
-    }
+    CheneyGc Gc(M, From.sym(), To.sym(), Stats);
+    NewRoot = Gc.scanValue(Root);
+    Gc.drain();
   } else {
-    if (Compact) {
-      NativeGcCompact Gc(M, From.sym(), To.sym(), PreserveSharing, Stats);
-      NewRoot = Gc.relocateValue(Root);
-    } else {
-      NativeGc Gc{M, C, From.sym(), To.sym(), PreserveSharing, Stats, {}};
-      NewRoot = Gc.relocate(Root);
-    }
+    NativeGc Gc(M, From.sym(), To.sym(), PreserveSharing, Stats);
+    NewRoot = Gc.relocateValue(Root);
   }
   if (SCAV_TRACE_ENABLED()) {
     auto &Sink = support::TraceSink::get();

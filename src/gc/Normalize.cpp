@@ -70,27 +70,24 @@ const Tag *normalizeTagImpl(GcContext &C, const Tag *T) {
 
 } // namespace
 
-/// Memoizing entry point. With interning on, already-normal tags exit in
-/// O(1) via the Normal bit, and each distinct (by pointer = by structure)
-/// non-normal tag is normalized at most once per context. The memo also
+/// Memoizing entry point. Already-normal tags exit in O(1) via the Normal
+/// bit, and each distinct (by pointer = by structure) non-normal tag is
+/// normalized at most once per context. The memo also
 /// stabilizes results: re-normalizing a tag returns the *same* node.
 const Tag *scav::gc::normalizeTag(GcContext &C, const Tag *T) {
   GcContext::Stats &S = C.stats();
   ++S.NormalizeTagCalls;
-  if (C.interningEnabled()) {
-    if (T->isNormal()) {
-      ++S.NormalizeTagNormalBitHits;
-      return T;
-    }
-    if (const Tag *M = C.lookupNormalTagMemo(T)) {
-      ++S.NormalizeTagMemoHits;
-      return M;
-    }
+  if (T->isNormal()) {
+    ++S.NormalizeTagNormalBitHits;
+    return T;
+  }
+  if (const Tag *M = C.lookupNormalTagMemo(T)) {
+    ++S.NormalizeTagMemoHits;
+    return M;
   }
   GcContext::TypeworkTimer Timer(S);
   const Tag *N = normalizeTagImpl(C, T);
-  if (C.interningEnabled())
-    C.rememberNormalTag(T, N);
+  C.rememberNormalTag(T, N);
   return N;
 }
 
@@ -212,9 +209,6 @@ namespace {
 const Type *normalizeTypeImpl(GcContext &C, const Type *T,
                               LanguageLevel Level) {
   // Unchanged children => return T itself, skipping the uniquing table.
-  // Gated on interning (unlike the tag impl's pre-existing checks) so the
-  // SCAV_DISABLE_INTERN baseline keeps its original rebuild-always cost.
-  bool Id = C.interningEnabled();
   switch (T->kind()) {
   case TypeKind::Int:
   case TypeKind::TyVar:
@@ -223,44 +217,42 @@ const Type *normalizeTypeImpl(GcContext &C, const Type *T,
   case TypeKind::Prod: {
     const Type *L = normalizeType(C, T->left(), Level);
     const Type *R = normalizeType(C, T->right(), Level);
-    if (Id && L == T->left() && R == T->right())
+    if (L == T->left() && R == T->right())
       return T;
     return C.typeProd(L, R);
   }
   case TypeKind::Sum: {
     const Type *L = normalizeType(C, T->left(), Level);
     const Type *R = normalizeType(C, T->right(), Level);
-    if (Id && L == T->left() && R == T->right())
+    if (L == T->left() && R == T->right())
       return T;
     return C.typeSum(L, R);
   }
   case TypeKind::Left: {
     const Type *B = normalizeType(C, T->body(), Level);
-    return Id && B == T->body() ? T : C.typeLeft(B);
+    return B == T->body() ? T : C.typeLeft(B);
   }
   case TypeKind::Right: {
     const Type *B = normalizeType(C, T->body(), Level);
-    return Id && B == T->body() ? T : C.typeRight(B);
+    return B == T->body() ? T : C.typeRight(B);
   }
   case TypeKind::At: {
     const Type *B = normalizeType(C, T->body(), Level);
-    return Id && B == T->body() ? T : C.typeAt(B, T->atRegion());
+    return B == T->body() ? T : C.typeAt(B, T->atRegion());
   }
 
   case TypeKind::ExistsTag: {
     const Type *B = normalizeType(C, T->body(), Level);
-    return Id && B == T->body() ? T
-                                : C.typeExistsTag(T->var(), T->binderKind(), B);
+    return B == T->body() ? T : C.typeExistsTag(T->var(), T->binderKind(), B);
   }
   case TypeKind::ExistsTyVar: {
     const Type *B = normalizeType(C, T->body(), Level);
-    return Id && B == T->body() ? T
-                                : C.typeExistsTyVar(T->var(), T->delta(), B);
+    return B == T->body() ? T : C.typeExistsTyVar(T->var(), T->delta(), B);
   }
   case TypeKind::ExistsRegion: {
     const Type *B = normalizeType(C, T->body(), Level);
-    return Id && B == T->body() ? T
-                                : C.typeExistsRegion(T->var(), T->delta(), B);
+    return B == T->body() ? T
+                          : C.typeExistsRegion(T->var(), T->delta(), B);
   }
 
   case TypeKind::Code: {
@@ -272,7 +264,7 @@ const Type *normalizeTypeImpl(GcContext &C, const Type *T,
       Changed |= N != A;
       Args.push_back(N);
     }
-    if (Id && !Changed)
+    if (!Changed)
       return T;
     return C.typeCode(T->tagParams(), T->tagParamKinds(), T->regionParams(),
                       std::move(Args));
@@ -293,7 +285,7 @@ const Type *normalizeTypeImpl(GcContext &C, const Type *T,
       Changed |= N != A;
       Args.push_back(N);
     }
-    if (Id && !Changed)
+    if (!Changed)
       return T;
     return C.typeTransCode(std::move(Tags), T->transRegions(),
                            std::move(Args), T->atRegion());
@@ -303,13 +295,13 @@ const Type *normalizeTypeImpl(GcContext &C, const Type *T,
     const Tag *NT = normalizeTag(C, T->tag());
     if (const Type *Expanded = expandMOnce(C, T->mRegions(), NT, Level))
       return normalizeType(C, Expanded, Level);
-    return Id && NT == T->tag() ? T : C.typeM(T->mRegions(), NT);
+    return NT == T->tag() ? T : C.typeM(T->mRegions(), NT);
   }
   case TypeKind::CApp: {
     const Tag *NT = normalizeTag(C, T->tag());
     if (const Type *Expanded = expandCOnce(C, T->cFrom(), T->cTo(), NT))
       return normalizeType(C, Expanded, Level);
-    return Id && NT == T->tag() ? T : C.typeC(T->cFrom(), T->cTo(), NT);
+    return NT == T->tag() ? T : C.typeC(T->cFrom(), T->cTo(), NT);
   }
   }
   return T;
@@ -327,19 +319,16 @@ const Type *scav::gc::normalizeType(GcContext &C, const Type *T,
                                     LanguageLevel Level) {
   GcContext::Stats &S = C.stats();
   ++S.NormalizeTypeCalls;
-  if (C.interningEnabled()) {
-    if (T->isNormal()) {
-      ++S.NormalizeTypeNormalBitHits;
-      return T;
-    }
-    if (const Type *M = C.lookupNormalTypeMemo(T, Level)) {
-      ++S.NormalizeTypeMemoHits;
-      return M;
-    }
+  if (T->isNormal()) {
+    ++S.NormalizeTypeNormalBitHits;
+    return T;
+  }
+  if (const Type *M = C.lookupNormalTypeMemo(T, Level)) {
+    ++S.NormalizeTypeMemoHits;
+    return M;
   }
   GcContext::TypeworkTimer Timer(S);
   const Type *N = normalizeTypeImpl(C, T, Level);
-  if (C.interningEnabled())
-    C.rememberNormalType(T, Level, N);
+  C.rememberNormalType(T, Level, N);
   return N;
 }

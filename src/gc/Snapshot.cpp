@@ -3,7 +3,8 @@
 // Format v1 ("SCAVSNP1", little-endian throughout, host-independent):
 //
 //   magic[8] u32(version)
-//   header:  u8 level, u8 layout, u8 status, u8 typeTrackingOk,
+//   header:  u8 level, u8 layout (0; see parseSnapshot), u8 status,
+//            u8 typeTrackingOk,
 //            u64 steps, str stuckReason, str typeTrackingError,
 //            str freshNamespace, u64 oracleFreshCtr,
 //            str meta.kind, str meta.diagnostic, str meta.checker,
@@ -611,6 +612,9 @@ public:
       Err = Msg;
   }
   bool atEnd() const { return Pos == In.size(); }
+  /// Bytes not yet consumed — the cap for any count-driven reserve, since
+  /// every element occupies at least one byte.
+  size_t remaining() const { return In.size() - Pos; }
 
   uint8_t u8() {
     if (!need(1))
@@ -705,18 +709,23 @@ public:
 
   /// Reads \p Count node records. False on malformed input.
   bool decodeAllNodes(uint32_t Count) {
-    Nodes.reserve(Count);
+    Nodes.reserve(std::min<size_t>(Count, R.remaining()));
     for (uint32_t I = 0; I != Count && R.ok(); ++I)
       decodeOne();
     return R.ok();
   }
 
-  const Kind *kindAt(uint32_t Ref) { return at<Kind>(Ref, ClassKind); }
-  const Tag *tagAt(uint32_t Ref) { return at<Tag>(Ref, ClassTag); }
-  const Type *typeAt(uint32_t Ref) { return at<Type>(Ref, ClassType); }
-  const Value *valueAt(uint32_t Ref) { return at<Value>(Ref, ClassValue); }
-  const Op *opAt(uint32_t Ref) { return at<Op>(Ref, ClassOp); }
-  const Term *termAt(uint32_t Ref) { return at<Term>(Ref, ClassTerm); }
+  /// Root and cell references, where None is a legitimate null (halted
+  /// machine, hole, Ψ null pad).
+  const Type *typeOrNull(uint32_t Ref) {
+    return Ref == None ? nullptr : at<Type>(Ref, ClassType);
+  }
+  const Value *valueOrNull(uint32_t Ref) {
+    return Ref == None ? nullptr : at<Value>(Ref, ClassValue);
+  }
+  const Term *termOrNull(uint32_t Ref) {
+    return Ref == None ? nullptr : at<Term>(Ref, ClassTerm);
+  }
 
 private:
   struct NodeRef {
@@ -724,64 +733,39 @@ private:
     const void *P;
   };
 
+  /// A node's child. The factories dereference every child, so a None,
+  /// out-of-range or wrong-class reference fails the parse (and returns
+  /// null, which callers must not hand to a factory once !R.ok()).
   template <typename T> const T *at(uint32_t Ref, uint8_t Class) {
-    if (Ref == None)
-      return nullptr;
     if (Ref >= Nodes.size() || Nodes[Ref].Class != Class) {
-      R.fail("node reference out of range or wrong class");
+      R.fail(Ref == None ? "null child reference"
+                         : "node reference out of range or wrong class");
       return nullptr;
     }
     return static_cast<const T *>(Nodes[Ref].P);
   }
 
-  const Kind *kindRef() { return kindAt(R.u32()); }
-  const Tag *tagRef() { return tagAt(R.u32()); }
-  const Type *typeRef() { return typeAt(R.u32()); }
-  const Value *valueRef() { return valueAt(R.u32()); }
-  const Term *termRef() { return termAt(R.u32()); }
+  const Kind *kindRef() { return at<Kind>(R.u32(), ClassKind); }
+  const Tag *tagRef() { return at<Tag>(R.u32(), ClassTag); }
+  const Type *typeRef() { return at<Type>(R.u32(), ClassType); }
+  const Value *valueRef() { return at<Value>(R.u32(), ClassValue); }
+  const Op *opRef() { return at<Op>(R.u32(), ClassOp); }
+  const Term *termRef() { return at<Term>(R.u32(), ClassTerm); }
 
-  std::vector<const Tag *> tagRefs() {
+  /// A u32 count followed by that many elements, each read by \p Read.
+  template <typename F> auto list(F Read) {
     uint32_t N = R.u32();
-    std::vector<const Tag *> Out;
+    std::vector<decltype(Read())> Out;
     for (uint32_t I = 0; I != N && R.ok(); ++I)
-      Out.push_back(tagRef());
+      Out.push_back(Read());
     return Out;
   }
-  std::vector<const Kind *> kindRefs() {
-    uint32_t N = R.u32();
-    std::vector<const Kind *> Out;
-    for (uint32_t I = 0; I != N && R.ok(); ++I)
-      Out.push_back(kindRef());
-    return Out;
-  }
-  std::vector<const Type *> typeRefs() {
-    uint32_t N = R.u32();
-    std::vector<const Type *> Out;
-    for (uint32_t I = 0; I != N && R.ok(); ++I)
-      Out.push_back(typeRef());
-    return Out;
-  }
-  std::vector<const Value *> valueRefs() {
-    uint32_t N = R.u32();
-    std::vector<const Value *> Out;
-    for (uint32_t I = 0; I != N && R.ok(); ++I)
-      Out.push_back(valueRef());
-    return Out;
-  }
-  std::vector<Region> regions() {
-    uint32_t N = R.u32();
-    std::vector<Region> Out;
-    for (uint32_t I = 0; I != N && R.ok(); ++I)
-      Out.push_back(region());
-    return Out;
-  }
-  std::vector<Symbol> symList() {
-    uint32_t N = R.u32();
-    std::vector<Symbol> Out;
-    for (uint32_t I = 0; I != N && R.ok(); ++I)
-      Out.push_back(sym());
-    return Out;
-  }
+  auto tagRefs() { return list([this] { return tagRef(); }); }
+  auto kindRefs() { return list([this] { return kindRef(); }); }
+  auto typeRefs() { return list([this] { return typeRef(); }); }
+  auto valueRefs() { return list([this] { return valueRef(); }); }
+  auto regions() { return list([this] { return region(); }); }
+  auto symList() { return list([this] { return sym(); }); }
 
   void push(uint8_t Class, const void *P) {
     if (R.ok() && !P)
@@ -825,8 +809,6 @@ private:
     case KindKind::Arrow: {
       const Kind *From = kindRef();
       const Kind *To = kindRef();
-      if (R.ok() && (!From || !To))
-        R.fail("arrow kind with null child");
       push(ClassKind, R.ok() ? C.arrowKind(From, To) : nullptr);
       return;
     }
@@ -854,9 +836,11 @@ private:
       push(ClassTag, R.ok() ? C.tagApp(A, B) : nullptr);
       return;
     }
-    case TagKind::Arrow:
-      push(ClassTag, C.tagArrow(tagRefs()));
+    case TagKind::Arrow: {
+      std::vector<const Tag *> Args = tagRefs();
+      push(ClassTag, R.ok() ? C.tagArrow(std::move(Args)) : nullptr);
       return;
+    }
     case TagKind::Exists: {
       Symbol V = sym();
       const Tag *Body = tagRef();
@@ -894,12 +878,16 @@ private:
       push(ClassType, R.ok() ? C.typeSum(A, B) : nullptr);
       return;
     }
-    case TypeKind::Left:
-      push(ClassType, C.typeLeft(typeRef()));
+    case TypeKind::Left: {
+      const Type *Body = typeRef();
+      push(ClassType, R.ok() ? C.typeLeft(Body) : nullptr);
       return;
-    case TypeKind::Right:
-      push(ClassType, C.typeRight(typeRef()));
+    }
+    case TypeKind::Right: {
+      const Type *Body = typeRef();
+      push(ClassType, R.ok() ? C.typeRight(Body) : nullptr);
       return;
+    }
     case TypeKind::At: {
       const Type *Body = typeRef();
       Region Rg = region();
@@ -991,12 +979,16 @@ private:
       push(ClassValue, R.ok() ? C.valPair(A, B) : nullptr);
       return;
     }
-    case ValueKind::Inl:
-      push(ClassValue, C.valInl(valueRef()));
+    case ValueKind::Inl: {
+      const Value *P = valueRef();
+      push(ClassValue, R.ok() ? C.valInl(P) : nullptr);
       return;
-    case ValueKind::Inr:
-      push(ClassValue, C.valInr(valueRef()));
+    }
+    case ValueKind::Inr: {
+      const Value *P = valueRef();
+      push(ClassValue, R.ok() ? C.valInr(P) : nullptr);
       return;
+    }
     case ValueKind::PackTag: {
       Symbol V = sym();
       const Tag *TW = tagRef();
@@ -1061,21 +1053,31 @@ private:
 
   void decodeOp(uint8_t K) {
     switch (static_cast<OpKind>(K)) {
-    case OpKind::Val:
-      push(ClassOp, C.opVal(valueRef()));
+    case OpKind::Val: {
+      const Value *V = valueRef();
+      push(ClassOp, R.ok() ? C.opVal(V) : nullptr);
       return;
-    case OpKind::Proj1:
-      push(ClassOp, C.opProj(1, valueRef()));
+    }
+    case OpKind::Proj1: {
+      const Value *V = valueRef();
+      push(ClassOp, R.ok() ? C.opProj(1, V) : nullptr);
       return;
-    case OpKind::Proj2:
-      push(ClassOp, C.opProj(2, valueRef()));
+    }
+    case OpKind::Proj2: {
+      const Value *V = valueRef();
+      push(ClassOp, R.ok() ? C.opProj(2, V) : nullptr);
       return;
-    case OpKind::Get:
-      push(ClassOp, C.opGet(valueRef()));
+    }
+    case OpKind::Get: {
+      const Value *V = valueRef();
+      push(ClassOp, R.ok() ? C.opGet(V) : nullptr);
       return;
-    case OpKind::Strip:
-      push(ClassOp, C.opStrip(valueRef()));
+    }
+    case OpKind::Strip: {
+      const Value *V = valueRef();
+      push(ClassOp, R.ok() ? C.opStrip(V) : nullptr);
       return;
+    }
     case OpKind::Put: {
       Region Rg = region();
       const Value *V = valueRef();
@@ -1111,14 +1113,16 @@ private:
     }
     case TermKind::Let: {
       Symbol X = sym();
-      const Op *O = opAt(R.u32());
+      const Op *O = opRef();
       const Term *Body = termRef();
       push(ClassTerm, R.ok() ? C.termLet(X, O, Body) : nullptr);
       return;
     }
-    case TermKind::Halt:
-      push(ClassTerm, C.termHalt(valueRef()));
+    case TermKind::Halt: {
+      const Value *V = valueRef();
+      push(ClassTerm, R.ok() ? C.termHalt(V) : nullptr);
       return;
+    }
     case TermKind::IfGc: {
       Region Rg = region();
       const Term *E1 = termRef();
@@ -1266,7 +1270,7 @@ std::string scav::gc::serializeSnapshot(Machine &M, const SnapshotMeta &Meta) {
 
   // Header.
   W.u8(static_cast<uint8_t>(M.level()));
-  W.u8(static_cast<uint8_t>(M.memory().layout()));
+  W.u8(0); // layout byte, see parseSnapshot
   W.u8(static_cast<uint8_t>(M.status()));
   W.u8(M.typeTrackingOk() ? 1 : 0);
   W.u64(M.stats().Steps);
@@ -1386,8 +1390,7 @@ bool scav::gc::saveSnapshot(Machine &M, const SnapshotMeta &Meta,
 //===----------------------------------------------------------------------===//
 
 std::unique_ptr<Snapshot>
-scav::gc::parseSnapshot(std::string_view Bytes, std::string &Error,
-                        std::optional<HeapLayout> ForceLayout) {
+scav::gc::parseSnapshot(std::string_view Bytes, std::string &Error) {
   Reader R(Bytes);
   char Mg[8];
   for (char &Ch : Mg)
@@ -1404,6 +1407,8 @@ scav::gc::parseSnapshot(std::string_view Bytes, std::string &Error,
 
   auto S = std::make_unique<Snapshot>();
   uint8_t Level = R.u8();
+  // Dumps from before the heap had one layout carry 1 here for the pointer
+  // layout. Cells are serialized decoded, so those load identically.
   uint8_t Layout = R.u8();
   uint8_t Status = R.u8();
   S->TypeTrackingOk = R.u8() != 0;
@@ -1418,11 +1423,10 @@ scav::gc::parseSnapshot(std::string_view Bytes, std::string &Error,
   S->Meta.RestrictToReachable = R.u8() != 0;
   S->Meta.CheckCodeRegion = R.u8() != 0;
   if (Level > static_cast<uint8_t>(LanguageLevel::Generational) ||
-      Layout > static_cast<uint8_t>(HeapLayout::Legacy) ||
+      Layout > 1 ||
       Status > static_cast<uint8_t>(Machine::Status::Stuck))
     R.fail("bad header enum");
   S->Level = static_cast<LanguageLevel>(Level);
-  S->Layout = ForceLayout.value_or(static_cast<HeapLayout>(Layout));
   S->Status = static_cast<Machine::Status>(Status);
 
   S->Ctx = std::make_unique<GcContext>();
@@ -1439,7 +1443,7 @@ scav::gc::parseSnapshot(std::string_view Bytes, std::string &Error,
   uint32_t NumSyms = R.u32();
   std::vector<Symbol> Syms;
   if (R.ok())
-    Syms.reserve(NumSyms);
+    Syms.reserve(std::min<size_t>(NumSyms, R.remaining()));
   for (uint32_t I = 0; I != NumSyms && R.ok(); ++I)
     Syms.push_back(C.intern(R.str()));
 
@@ -1447,14 +1451,12 @@ scav::gc::parseSnapshot(std::string_view Bytes, std::string &Error,
   uint32_t NumNodes = R.u32();
   if (R.ok())
     Dec.decodeAllNodes(NumNodes);
-  S->CurrentTerm = Dec.termAt(R.u32());
-  S->HaltValue = Dec.valueAt(R.u32());
+  S->CurrentTerm = Dec.termOrNull(R.u32());
+  S->HaltValue = Dec.valueOrNull(R.u32());
 
-  // Memory: reconstruct through the public allocation API so the requested
-  // layout re-encodes cells (which is what makes cross-layout loading — and
-  // hence Compact-vs-Legacy diffs — work), then restore the bookkeeping
-  // put() cannot know.
-  S->Mem = std::make_unique<Memory>(C.cd().sym(), S->Layout, &C);
+  // Memory: reconstruct through the public allocation API, which encodes
+  // each cell into its word, then restore the bookkeeping put() cannot know.
+  S->Mem = std::make_unique<Memory>(C.cd().sym(), C);
   uint32_t NumRegions = R.u32();
   for (uint32_t I = 0; I != NumRegions && R.ok(); ++I) {
     uint32_t SymId = R.u32();
@@ -1469,7 +1471,7 @@ scav::gc::parseSnapshot(std::string_view Bytes, std::string &Error,
     uint32_t NumCells = R.u32();
     S->Mem->addRegion(RS, Capacity);
     for (uint32_t Off = 0; Off != NumCells && R.ok(); ++Off) {
-      const Value *V = Dec.valueAt(R.u32());
+      const Value *V = Dec.valueOrNull(R.u32());
       if (!S->Mem->put(RS, V))
         R.fail("memory reconstruction failed");
     }
@@ -1493,9 +1495,9 @@ scav::gc::parseSnapshot(std::string_view Bytes, std::string &Error,
     uint32_t NumCells = R.u32();
     S->Psi.addRegion(RS);
     RegionType *PT = S->Psi.region(RS);
-    PT->Cells.reserve(NumCells);
+    PT->Cells.reserve(std::min<size_t>(NumCells, R.remaining()));
     for (uint32_t Off = 0; Off != NumCells && R.ok(); ++Off)
-      PT->Cells.push_back(Dec.typeAt(R.u32()));
+      PT->Cells.push_back(Dec.typeOrNull(R.u32()));
   }
 
   // Journal tail.
@@ -1526,8 +1528,7 @@ scav::gc::parseSnapshot(std::string_view Bytes, std::string &Error,
 }
 
 std::unique_ptr<Snapshot>
-scav::gc::loadSnapshot(const std::string &Path, std::string &Error,
-                       std::optional<HeapLayout> ForceLayout) {
+scav::gc::loadSnapshot(const std::string &Path, std::string &Error) {
   std::ifstream In(Path, std::ios::binary);
   if (!In) {
     Error = "cannot open " + Path;
@@ -1536,7 +1537,7 @@ scav::gc::loadSnapshot(const std::string &Path, std::string &Error,
   std::ostringstream SS;
   SS << In.rdbuf();
   std::string Bytes = SS.str();
-  return parseSnapshot(Bytes, Error, ForceLayout);
+  return parseSnapshot(Bytes, Error);
 }
 
 //===----------------------------------------------------------------------===//
@@ -1701,8 +1702,6 @@ std::string scav::gc::describeSnapshot(const Snapshot &S) {
           ? "running"
           : (S.Status == Machine::Status::Halted ? "halted" : "stuck");
   Out << "level: " << languageLevelName(S.Level) << "\n";
-  Out << "layout: "
-      << (S.Layout == HeapLayout::Compact ? "compact" : "legacy") << "\n";
   Out << "status: " << StatusName << "\n";
   Out << "steps: " << S.Steps << "\n";
   if (!S.StuckReason.empty())

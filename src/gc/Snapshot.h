@@ -2,7 +2,7 @@
 ///
 /// \file
 /// Post-mortem heap snapshots (DESIGN.md §3.14): serialize a machine's
-/// entire typed state — memory M (both heap layouts), the typing witness Ψ,
+/// entire typed state — memory M, the typing witness Ψ,
 /// step count / status / stuck reason, the delta-journal tail, and the
 /// fresh-name bookkeeping — to a self-describing binary file, and load it
 /// back into a standalone context for offline inspection.
@@ -27,7 +27,6 @@
 #include "gc/StateCheck.h"
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -64,7 +63,6 @@ public:
   MemoryType Psi;
 
   LanguageLevel Level = LanguageLevel::Base;
-  HeapLayout Layout = HeapLayout::Legacy;
   Machine::Status Status = Machine::Status::Running;
   uint64_t Steps = 0;
   std::string StuckReason;
@@ -124,17 +122,14 @@ bool saveSnapshot(Machine &M, const SnapshotMeta &Meta,
                   const std::string &Path, std::string &Error);
 
 /// Parses a snapshot image back into a standalone context. Returns null and
-/// fills \p Error on malformed input. \p ForceLayout overrides the recorded
-/// heap layout (cells are re-encoded into the requested representation),
-/// which is how a Compact snapshot is diffed against a Legacy one.
-std::unique_ptr<Snapshot>
-parseSnapshot(std::string_view Bytes, std::string &Error,
-              std::optional<HeapLayout> ForceLayout = std::nullopt);
+/// fills \p Error on malformed input — any byte sequence either parses or
+/// is rejected, never crashing the process.
+std::unique_ptr<Snapshot> parseSnapshot(std::string_view Bytes,
+                                        std::string &Error);
 
 /// Reads + parses \p Path.
-std::unique_ptr<Snapshot>
-loadSnapshot(const std::string &Path, std::string &Error,
-             std::optional<HeapLayout> ForceLayout = std::nullopt);
+std::unique_ptr<Snapshot> loadSnapshot(const std::string &Path,
+                                       std::string &Error);
 
 /// Re-runs the full state checker over a loaded snapshot under the meta's
 /// recorded options — the offline reproduction of the live verdict.
@@ -143,12 +138,10 @@ StateCheckResult recheckSnapshot(Snapshot &S);
 /// Same, with the incremental engine (first check = full resync).
 StateCheckResult recheckSnapshotIncremental(Snapshot &S);
 
-/// Structural diff of two snapshots (step N vs N+1, or Compact vs Legacy):
-/// regions present in one but not the other, per-cell value/Ψ differences
-/// (compared by printed form — name-based, so cross-context comparison is
-/// exact), current term, status, steps, journal. The heap *layout* is
-/// deliberately not a difference: a Compact and a Legacy snapshot of the
-/// same state diff empty. Returns "" when equal.
+/// Structural diff of two snapshots (step N vs N+1, say): regions present
+/// in one but not the other, per-cell value/Ψ differences (compared by
+/// printed form — name-based, so cross-context comparison is exact),
+/// current term, status, steps, journal. Returns "" when equal.
 std::string diffSnapshots(const Snapshot &A, const Snapshot &B);
 
 /// One-line-per-region summary ("name: cells=N capacity=C psi=P").

@@ -208,9 +208,9 @@ StateCheckResult scav::gc::checkState(CheckSubject &M,
   GcContext &C = M.context();
   Symbol CdS = C.cd().sym();
 
-  // Compact layout: cells written as raw words (collector/VM fast paths)
-  // must be decoded before the Scope below — decoded Values are cached in
-  // Cells and must not live in allocations the scope will roll back.
+  // Cells written as raw words (collector/VM fast paths) must be decoded
+  // before the Scope below — decoded Values are cached in Cells and must
+  // not live in allocations the scope will roll back.
   M.memory().decodeAll();
 
   // Checking allocates heavily (normalization, substitution); none of it
@@ -445,8 +445,8 @@ StateCheckResult IncrementalStateCheck::check() {
   if (!M.typeTrackingOk())
     return StateCheckResult::failure("Psi maintenance failed: " +
                                      M.typeTrackingError());
-  // Compact layout: surface word-written cells as Values before opening
-  // the scope below (decodes cache into Cells and must survive rollback).
+  // Surface word-written cells as Values before opening the scope below
+  // (decodes cache into Cells and must survive rollback).
   M.memory().decodeAll();
   // Everything the check allocates (normalization, term forcing,
   // diagnostics) is transient; the caches hold only pointers to

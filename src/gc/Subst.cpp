@@ -21,14 +21,12 @@ namespace {
 /// binder; its symbols (concrete region names, at most) need not poison
 /// the traversal. Skipping them keeps the unsafe set small, which keeps
 /// binders un-renamed, which in turn lets the identity checks below return
-/// original (interned) subtrees. Like every other flag-driven shortcut,
-/// this is gated on interning so the disabled baseline is untouched.
-SymbolSet computeUnsafe(GcContext &C, const Subst &S) {
-  bool SkipGround = C.interningEnabled();
+/// original (interned) subtrees.
+SymbolSet computeUnsafe(const Subst &S) {
   SymbolSet U;
   for (const auto &[K, V] : S.Tags) {
     U.insert(K);
-    if (SkipGround && V->isGround())
+    if (V->isGround())
       continue;
     collectSymbols(V, U);
   }
@@ -38,7 +36,7 @@ SymbolSet computeUnsafe(GcContext &C, const Subst &S) {
   }
   for (const auto &[K, V] : S.Types) {
     U.insert(K);
-    if (SkipGround && V->isGround())
+    if (V->isGround())
       continue;
     collectSymbols(V, U);
   }
@@ -142,16 +140,13 @@ const Term *substTermRec(const Term *T, const Env &E);
 const Tag *substTagRec(const Tag *T, const Env &E) {
   GcContext &C = E.C;
   // Ground subtrees mention no variables of any sort, so every substitution
-  // is the identity on them. (Gated on interning so the e10 baseline toggle
-  // disables the whole optimization stack at once.)
-  if (C.interningEnabled() && T->isGround()) {
+  // is the identity on them.
+  if (T->isGround()) {
     ++C.stats().SubstGroundSkips;
     return T;
   }
-  // Identity detection below (unchanged children ⇒ return T itself) is
-  // gated the same way: rebuilding an unchanged node is a wasted uniquing
-  // lookup when interning is on, and pre-optimization behavior when off.
-  bool Id = C.interningEnabled();
+  // Unchanged children ⇒ return T itself below: rebuilding an unchanged
+  // node would only be a wasted uniquing lookup.
   switch (T->kind()) {
   case TagKind::Int:
     return T;
@@ -162,14 +157,14 @@ const Tag *substTagRec(const Tag *T, const Env &E) {
   case TagKind::Prod: {
     const Tag *A = substTagRec(T->left(), E);
     const Tag *B = substTagRec(T->right(), E);
-    if (Id && A == T->left() && B == T->right())
+    if (A == T->left() && B == T->right())
       return T;
     return C.tagProd(A, B);
   }
   case TagKind::App: {
     const Tag *A = substTagRec(T->left(), E);
     const Tag *B = substTagRec(T->right(), E);
-    if (Id && A == T->left() && B == T->right())
+    if (A == T->left() && B == T->right())
       return T;
     return C.tagApp(A, B);
   }
@@ -182,7 +177,7 @@ const Tag *substTagRec(const Tag *T, const Env &E) {
       Same = Same && N == A;
       Args.push_back(N);
     }
-    if (Id && Same)
+    if (Same)
       return T;
     return C.tagArrow(std::move(Args));
   }
@@ -190,7 +185,7 @@ const Tag *substTagRec(const Tag *T, const Env &E) {
     BinderScope BS(E);
     Symbol B = BS.enter(T->var(), VarSort::TagVar);
     const Tag *Body = substTagRec(T->body(), BS.env());
-    if (Id && B == T->var() && Body == T->body())
+    if (B == T->var() && Body == T->body())
       return T;
     return C.tagExists(B, Body);
   }
@@ -198,7 +193,7 @@ const Tag *substTagRec(const Tag *T, const Env &E) {
     BinderScope BS(E);
     Symbol B = BS.enter(T->var(), VarSort::TagVar);
     const Tag *Body = substTagRec(T->body(), BS.env());
-    if (Id && B == T->var() && Body == T->body())
+    if (B == T->var() && Body == T->body())
       return T;
     return C.tagLam(B, T->binderKind(), Body);
   }
@@ -210,11 +205,10 @@ const Type *substTypeRec(const Type *T, const Env &E) {
   GcContext &C = E.C;
   // See substTagRec: Ground types mention no variables (and only concrete
   // region names), so substitution cannot change them.
-  if (C.interningEnabled() && T->isGround()) {
+  if (T->isGround()) {
     ++C.stats().SubstGroundSkips;
     return T;
   }
-  bool Id = C.interningEnabled(); // see substTagRec
   switch (T->kind()) {
   case TypeKind::Int:
     return T;
@@ -225,29 +219,29 @@ const Type *substTypeRec(const Type *T, const Env &E) {
   case TypeKind::Prod: {
     const Type *A = substTypeRec(T->left(), E);
     const Type *B = substTypeRec(T->right(), E);
-    if (Id && A == T->left() && B == T->right())
+    if (A == T->left() && B == T->right())
       return T;
     return C.typeProd(A, B);
   }
   case TypeKind::Sum: {
     const Type *A = substTypeRec(T->left(), E);
     const Type *B = substTypeRec(T->right(), E);
-    if (Id && A == T->left() && B == T->right())
+    if (A == T->left() && B == T->right())
       return T;
     return C.typeSum(A, B);
   }
   case TypeKind::Left: {
     const Type *B = substTypeRec(T->body(), E);
-    return Id && B == T->body() ? T : C.typeLeft(B);
+    return B == T->body() ? T : C.typeLeft(B);
   }
   case TypeKind::Right: {
     const Type *B = substTypeRec(T->body(), E);
-    return Id && B == T->body() ? T : C.typeRight(B);
+    return B == T->body() ? T : C.typeRight(B);
   }
   case TypeKind::At: {
     const Type *B = substTypeRec(T->body(), E);
     Region R = substRegion(T->atRegion(), E);
-    if (Id && B == T->body() && R == T->atRegion())
+    if (B == T->body() && R == T->atRegion())
       return T;
     return C.typeAt(B, R);
   }
@@ -260,7 +254,7 @@ const Type *substTypeRec(const Type *T, const Env &E) {
       Rs.push_back(N);
     }
     const Tag *Tg = substTagRec(T->tag(), E);
-    if (Id && Same && Tg == T->tag())
+    if (Same && Tg == T->tag())
       return T;
     return C.typeM(std::move(Rs), Tg);
   }
@@ -268,7 +262,7 @@ const Type *substTypeRec(const Type *T, const Env &E) {
     Region F = substRegion(T->cFrom(), E);
     Region To = substRegion(T->cTo(), E);
     const Tag *Tg = substTagRec(T->tag(), E);
-    if (Id && F == T->cFrom() && To == T->cTo() && Tg == T->tag())
+    if (F == T->cFrom() && To == T->cTo() && Tg == T->tag())
       return T;
     return C.typeC(F, To, Tg);
   }
@@ -276,7 +270,7 @@ const Type *substTypeRec(const Type *T, const Env &E) {
     BinderScope BS(E);
     Symbol B = BS.enter(T->var(), VarSort::TagVar);
     const Type *Body = substTypeRec(T->body(), BS.env());
-    if (Id && B == T->var() && Body == T->body())
+    if (B == T->var() && Body == T->body())
       return T;
     return C.typeExistsTag(B, T->binderKind(), Body);
   }
@@ -285,7 +279,7 @@ const Type *substTypeRec(const Type *T, const Env &E) {
     BinderScope BS(E);
     Symbol B = BS.enter(T->var(), VarSort::TypeVar);
     const Type *Body = substTypeRec(T->body(), BS.env());
-    if (Id && B == T->var() && Body == T->body() && Delta == T->delta())
+    if (B == T->var() && Body == T->body() && Delta == T->delta())
       return T;
     return C.typeExistsTyVar(B, std::move(Delta), Body);
   }
@@ -294,7 +288,7 @@ const Type *substTypeRec(const Type *T, const Env &E) {
     BinderScope BS(E);
     Symbol B = BS.enter(T->var(), VarSort::RegionVar);
     const Type *Body = substTypeRec(T->body(), BS.env());
-    if (Id && B == T->var() && Body == T->body() && Delta == T->delta())
+    if (B == T->var() && Body == T->body() && Delta == T->delta())
       return T;
     return C.typeExistsRegion(B, std::move(Delta), Body);
   }
@@ -537,10 +531,8 @@ const Term *substTermRec(const Term *T, const Env &E) {
 /// no binder can capture it and freshening is never needed. Binders are
 /// handled with per-sort counting masks (counting, because the same symbol
 /// can be re-bound by nested binders) that suppress environment lookups
-/// underneath. Unlike the subst* family above, the ground-skip and the
-/// unchanged-children identity returns are unconditional: the Ground bit is
-/// maintained even with interning disabled, and there is no pre-existing
-/// baseline behavior to preserve (Env mode is new with this traversal).
+/// underneath. Like the subst* family above, ground subtrees and nodes with
+/// unchanged children are returned as they are.
 class Closer {
 public:
   Closer(GcContext &C, const Subst &Env, CloseCounters *Ctr)
@@ -1153,14 +1145,14 @@ RegionSet scav::gc::closeRegionSet(const RegionSet &RS, const Subst &Env,
 const Tag *scav::gc::applySubst(GcContext &C, const Tag *T, const Subst &S) {
   if (S.empty())
     return T;
-  SymbolSet Unsafe = computeUnsafe(C, S);
+  SymbolSet Unsafe = computeUnsafe(S);
   return substTagRec(T, Env{C, S, Unsafe});
 }
 
 const Type *scav::gc::applySubst(GcContext &C, const Type *T, const Subst &S) {
   if (S.empty())
     return T;
-  SymbolSet Unsafe = computeUnsafe(C, S);
+  SymbolSet Unsafe = computeUnsafe(S);
   return substTypeRec(T, Env{C, S, Unsafe});
 }
 
@@ -1168,21 +1160,21 @@ const Value *scav::gc::applySubst(GcContext &C, const Value *V,
                                   const Subst &S) {
   if (S.empty())
     return V;
-  SymbolSet Unsafe = computeUnsafe(C, S);
+  SymbolSet Unsafe = computeUnsafe(S);
   return substValueRec(V, Env{C, S, Unsafe});
 }
 
 const Op *scav::gc::applySubst(GcContext &C, const Op *O, const Subst &S) {
   if (S.empty())
     return O;
-  SymbolSet Unsafe = computeUnsafe(C, S);
+  SymbolSet Unsafe = computeUnsafe(S);
   return substOpRec(O, Env{C, S, Unsafe});
 }
 
 const Term *scav::gc::applySubst(GcContext &C, const Term *E, const Subst &S) {
   if (S.empty())
     return E;
-  SymbolSet Unsafe = computeUnsafe(C, S);
+  SymbolSet Unsafe = computeUnsafe(S);
   return substTermRec(E, Env{C, S, Unsafe});
 }
 

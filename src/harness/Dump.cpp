@@ -55,8 +55,6 @@ std::string scav::harness::writeDumpBundle(const std::string &DumpDir,
   Manifest += "diagnostic: " + Info.Diagnostic + "\n";
   Manifest += "checker: " + Info.Checker + "\n";
   Manifest += std::string("level: ") + gc::languageLevelName(M.level()) + "\n";
-  Manifest += std::string("layout: ") +
-              (M.memory().compact() ? "compact" : "legacy") + "\n";
   Manifest += "step: " + std::to_string(Info.Step) + "\n";
   Manifest += std::string("restrict-to-reachable: ") +
               (Info.RestrictToReachable ? "1" : "0") + "\n";

@@ -7,8 +7,8 @@
 ///
 ///   dump-<kind>-step<N>/
 ///     snapshot.scavsnap   versioned machine snapshot (gc/Snapshot.h)
-///     MANIFEST.txt        kind, diagnostic, checker, level, layout, step,
-///                         check options, replay command
+///     MANIFEST.txt        kind, diagnostic, checker, level, step, check
+///                         options, replay command
 ///     trace_tail.txt      last trace-ring events (when tracing is on)
 ///     metrics.json        metrics registry at dump time (when provided)
 ///     replay.txt          the replay command line, alone, for scripting

@@ -154,9 +154,7 @@ void stateIteration(uint64_t IterSeed, const FuzzOptions &Opts,
   bool Restrict = Level == LanguageLevel::Forward;
 
   GcContext C;
-  MachineConfig MC;
-  MC.Layout = Opts.Layout;
-  Machine M(C, Level, MC);
+  Machine M(C, Level);
   Address GcAddr{};
   switch (Level) {
   case LanguageLevel::Base:
@@ -483,7 +481,6 @@ void pipelineIteration(uint64_t IterSeed, const FuzzOptions &Opts,
   // regions so collections actually fire, incremental per-N checks.
   PipelineOptions PA;
   PA.Level = Level;
-  PA.Machine.Layout = Opts.Layout;
   PA.Machine.DefaultRegionCapacity = 8 + static_cast<uint32_t>(R.below(25));
   // Checker failures and stuck machines in any differential leg dump a
   // bundle themselves (PB/PD/PC copy these fields from PA).

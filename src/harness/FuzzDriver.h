@@ -42,10 +42,6 @@ struct FuzzOptions {
   /// Restrict to one language level; fuzz all three when unset.
   bool AllLevels = true;
   gc::LanguageLevel Level = gc::LanguageLevel::Base;
-  /// Heap layout for every machine the fuzzer builds. Pinning it lets the
-  /// compact-vs-legacy differential test run the same seeds under both
-  /// representations and demand identical reports.
-  gc::HeapLayout Layout = gc::defaultHeapLayout();
   /// Extra corpus entries for the grammar fuzzer, as (is-gc?, text).
   std::vector<std::pair<bool, std::string>> ExtraCorpus;
   /// Print every applied mutation (triage spelunking).

@@ -51,8 +51,8 @@ void sortAddresses(std::vector<Address> &As) {
 /// All live data (non-cd) cells, restricted to term-reachable ones when
 /// \p Restrict — a victim Def 7.1 does not allow either checker to skip.
 std::vector<Address> dataCells(Machine &M, bool Restrict) {
-  // Compact layout: victim enumeration walks Cells directly, so any
-  // word-written cells (collector fast paths) must be decoded first.
+  // Victim enumeration walks Cells directly, so any word-written cells
+  // (collector fast paths) must be decoded first.
   M.memory().decodeAll();
   AddressSet Reach;
   if (Restrict)

@@ -21,6 +21,7 @@
 #include "harness/FuzzDriver.h"
 #include "harness/Minimize.h"
 #include "harness/Pipeline.h"
+#include "support/ParseInt.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -97,18 +98,33 @@ int main(int Argc, char **Argv) {
     }
     return Argv[++I];
   };
+  // Numeric values parse as whole strings; "pony" is a usage error, not 0.
+  auto BadNumber = [&](int I) {
+    std::fprintf(stderr, "%s %s: malformed or out of range\n", Argv[I - 1],
+                 Argv[I]);
+    return usage(Argv[0]);
+  };
 
   for (int I = 1; I < Argc; ++I) {
     const char *A = Argv[I];
     if (!std::strcmp(A, "--mode")) {
       Mode = NextArg(I);
     } else if (!std::strcmp(A, "--seed")) {
-      Opts.Seed = std::strtoull(NextArg(I), nullptr, 10);
+      std::optional<uint64_t> N = parseUint64(NextArg(I));
+      if (!N)
+        return BadNumber(I);
+      Opts.Seed = *N;
     } else if (!std::strcmp(A, "--iters")) {
-      Opts.Iterations = std::strtoull(NextArg(I), nullptr, 10);
+      std::optional<uint64_t> N = parseUint64(NextArg(I));
+      if (!N)
+        return BadNumber(I);
+      Opts.Iterations = *N;
       ItersSet = true;
     } else if (!std::strcmp(A, "--time-budget")) {
-      Opts.TimeBudgetSeconds = std::strtod(NextArg(I), nullptr);
+      std::optional<double> S = parseSeconds(NextArg(I));
+      if (!S)
+        return BadNumber(I);
+      Opts.TimeBudgetSeconds = *S;
     } else if (!std::strcmp(A, "--level")) {
       std::string L = NextArg(I);
       Opts.AllLevels = false;

@@ -13,10 +13,6 @@
 //                         matching checker reproduces it byte-for-byte
 //     --diff OTHER        structural diff against a second bundle/snapshot
 //                         (exit 0 when equal, 1 when different)
-//     --layout compact|legacy
-//                         load under this heap layout instead of the
-//                         recorded one (cells re-encode on load; a diff
-//                         across layouts of the same state is empty)
 //
 // A BUNDLE argument may be a dump-bundle directory (harness/Dump.h) — the
 // snapshot is read from <dir>/snapshot.scavsnap — or a .scavsnap path.
@@ -27,7 +23,6 @@
 #include "gc/Snapshot.h"
 
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <map>
 #include <string>
@@ -40,8 +35,7 @@ namespace {
 int usage() {
   std::fprintf(stderr,
                "usage: certgc_inspect BUNDLE [--regions | --cells REGION |"
-               " --psi REGION | --verdict | --diff OTHER]"
-               " [--layout compact|legacy]\n");
+               " --psi REGION | --verdict | --diff OTHER]\n");
   return 2;
 }
 
@@ -54,11 +48,9 @@ std::string resolveSnapshotPath(const std::string &Arg) {
   return Arg;
 }
 
-std::unique_ptr<Snapshot> load(const std::string &Arg,
-                               std::optional<HeapLayout> Layout) {
+std::unique_ptr<Snapshot> load(const std::string &Arg) {
   std::string Error;
-  std::unique_ptr<Snapshot> S =
-      loadSnapshot(resolveSnapshotPath(Arg), Error, Layout);
+  std::unique_ptr<Snapshot> S = loadSnapshot(resolveSnapshotPath(Arg), Error);
   if (!S)
     std::fprintf(stderr, "certgc_inspect: %s: %s\n", Arg.c_str(),
                  Error.c_str());
@@ -142,7 +134,6 @@ int verdict(Snapshot &S) {
 int main(int argc, char **argv) {
   std::string Bundle, CellsRegion, PsiRegion, DiffOther;
   bool Regions = false, Verdict = false;
-  std::optional<HeapLayout> Layout;
 
   for (int I = 1; I < argc; ++I) {
     std::string_view A = argv[I];
@@ -168,16 +159,6 @@ int main(int argc, char **argv) {
       if (!O)
         return usage();
       DiffOther = O;
-    } else if (A == "--layout") {
-      const char *L = NextArg();
-      if (!L)
-        return usage();
-      if (std::strcmp(L, "compact") == 0)
-        Layout = HeapLayout::Compact;
-      else if (std::strcmp(L, "legacy") == 0)
-        Layout = HeapLayout::Legacy;
-      else
-        return usage();
     } else if (!A.empty() && A.front() == '-') {
       return usage();
     } else if (Bundle.empty()) {
@@ -189,12 +170,12 @@ int main(int argc, char **argv) {
   if (Bundle.empty())
     return usage();
 
-  std::unique_ptr<Snapshot> S = load(Bundle, Layout);
+  std::unique_ptr<Snapshot> S = load(Bundle);
   if (!S)
     return 2;
 
   if (!DiffOther.empty()) {
-    std::unique_ptr<Snapshot> O = load(DiffOther, Layout);
+    std::unique_ptr<Snapshot> O = load(DiffOther);
     if (!O)
       return 2;
     std::string D = diffSnapshots(*S, *O);

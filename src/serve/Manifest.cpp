@@ -95,15 +95,6 @@ bool scav::serve::parseManifest(std::string_view Text, std::string_view BaseDir,
                       "eval=" + std::string(Val) +
                           ": expected env|subst|vm");
         S.Eval = *M;
-      } else if (Key == "layout") {
-        if (Val == "compact")
-          S.Layout = gc::HeapLayout::Compact;
-        else if (Val == "legacy")
-          S.Layout = gc::HeapLayout::Legacy;
-        else
-          return fail(Error, LineNo,
-                      "layout=" + std::string(Val) +
-                          ": expected compact|legacy");
       } else if (Key == "gen-seed") {
         if (!parseNum(Key, Val, UINT64_MAX, N, LineNo, Error))
           return false;
@@ -151,6 +142,10 @@ bool scav::serve::parseManifest(std::string_view Text, std::string_view BaseDir,
     if (S.HasGenSeed == HasProgram)
       return fail(Error, LineNo,
                   "exactly one of gen-seed=N or program=PATH is required");
+    if (S.AsyncCheck && S.StallAtStep != 0)
+      return fail(Error, LineNo,
+                  "stall-at-step=N needs the synchronous step loop; drop "
+                  "async-check=1");
     Out.Sessions.push_back(std::move(S));
   }
   if (Out.Sessions.empty()) {

@@ -33,7 +33,6 @@ namespace scav::serve {
 struct SessionSpec {
   gc::LanguageLevel Level = gc::LanguageLevel::Base;
   gc::EvalMode Eval = gc::EvalMode::Env;
-  gc::HeapLayout Layout = gc::defaultHeapLayout();
   /// Program selection: HasGenSeed picks ProgramGen(GenSeed), else
   /// ProgramPath names a source file.
   bool HasGenSeed = false;
@@ -49,7 +48,8 @@ struct SessionSpec {
   uint64_t MaxSteps = 5'000'000;
   /// Fault-injection knob (tests/CI): wedge the session's step loop at
   /// this 1-based step until the watchdog aborts it
-  /// (PipelineOptions::StallAtStep). 0 = off.
+  /// (PipelineOptions::StallAtStep). 0 = off; rejected together with
+  /// AsyncCheck, whose step loop has no stall hook.
   uint64_t StallAtStep = 0;
 };
 

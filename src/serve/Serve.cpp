@@ -82,7 +82,6 @@ SessionResult runOne(const SessionSpec &Spec, size_t Index,
   harness::PipelineOptions PO;
   PO.Level = Spec.Level;
   PO.Machine.Eval = Spec.Eval;
-  PO.Machine.Layout = Spec.Layout;
   PO.Machine.DefaultRegionCapacity = Spec.Capacity;
   PO.FullCheckEvery = Spec.FullCheckEvery;
   PO.AsyncCheck = Spec.AsyncCheck;

@@ -29,6 +29,7 @@
 #include "serve/Serve.h"
 
 #include "harness/Pipeline.h"
+#include "support/ParseInt.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -83,7 +84,13 @@ int main(int argc, char **argv) {
       const char *N = NextArg();
       if (!N)
         return usage();
-      Opts.Workers = static_cast<unsigned>(std::atoi(N));
+      std::optional<uint64_t> W = parseUint64Upto(N, UINT32_MAX);
+      if (!W) {
+        std::fprintf(stderr, "--workers %s: expected an unsigned integer\n",
+                     N);
+        return usage();
+      }
+      Opts.Workers = static_cast<unsigned>(*W);
       if (Opts.Workers == 0) {
         Opts.Workers = std::thread::hardware_concurrency();
         if (Opts.Workers == 0)
@@ -112,13 +119,14 @@ int main(int argc, char **argv) {
       const char *S = NextArg();
       if (!S)
         return usage();
-      Opts.StallSeconds = std::atof(S);
-      if (Opts.StallSeconds <= 0) {
+      std::optional<double> Secs = parseSeconds(S);
+      if (!Secs || *Secs == 0) {
         std::fprintf(stderr, "--stall-seconds %s: expected a positive "
                              "number of seconds\n",
                      S);
-        return 2;
+        return usage();
       }
+      Opts.StallSeconds = *Secs;
     } else {
       return usage();
     }

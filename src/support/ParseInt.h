@@ -14,6 +14,7 @@
 #define SCAV_SUPPORT_PARSEINT_H
 
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -43,6 +44,30 @@ inline std::optional<uint64_t> parseUint64(std::string_view S) {
   uint64_t V = 0;
   auto [Ptr, Ec] = std::from_chars(S.data(), S.data() + S.size(), V, 10);
   if (Ec != std::errc() || Ptr != S.data() + S.size())
+    return std::nullopt;
+  return V;
+}
+
+/// parseUint64 bounded by \p Max: the whole-string parse every numeric
+/// command-line flag goes through (atoi/strtoull read "pony" as 0 and let a
+/// 64-bit value wrap into a 32-bit field).
+inline std::optional<uint64_t> parseUint64Upto(std::string_view S,
+                                               uint64_t Max) {
+  std::optional<uint64_t> V = parseUint64(S);
+  if (!V || *V > Max)
+    return std::nullopt;
+  return V;
+}
+
+/// Parses the *entire* string as a finite, non-negative decimal number of
+/// seconds (strtod plus an end-pointer check).
+inline std::optional<double> parseSeconds(std::string_view S) {
+  std::string Text(S);
+  if (Text.empty())
+    return std::nullopt;
+  char *End = nullptr;
+  double V = std::strtod(Text.c_str(), &End);
+  if (End != Text.c_str() + Text.size() || !std::isfinite(V) || V < 0)
     return std::nullopt;
   return V;
 }

@@ -22,7 +22,7 @@ using namespace scav::vm;
 
 VmExec::VmExec(Machine &M)
     : M(M), C(M.context()), Lower(M.context()),
-      FastHeap(M.memory().compact() && !M.config().TrackTypes) {
+      FastHeap(!M.config().TrackTypes) {
   M.attachBackend(this);
 }
 
@@ -463,8 +463,8 @@ uint64_t VmExec::encodeFastWord(const Value *V, uint32_t BindsBegin,
         return M.Mem.encodeValue(RD, static_cast<const Value *>(FC.Ptr));
       }
     }
-    return M.Mem.encodeValue(RD, V); // unbound: boxed, as the decode of a
-                                     // legacy put of the bare Var would be
+    return M.Mem.encodeValue(RD, V); // unbound: boxed, as put would box
+                                     // the bare Var
   }
   case ValueKind::Pair: {
     if (RD.Aux.size() + 2 > size_t(std::numeric_limits<uint32_t>::max()))

@@ -131,7 +131,7 @@ private:
   Lowerer Lower;
 
   /// Word-direct put/set are sound only when cells need no Ψ tracking at
-  /// write time: compact layout with TrackTypes off (recordPut is a no-op).
+  /// write time: TrackTypes off (recordPut is a no-op).
   const bool FastHeap;
 
   /// Node pointer (Term or code Value) → compiled chunk.

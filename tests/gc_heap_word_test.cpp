@@ -30,7 +30,7 @@ struct CompactHeap {
 
   CompactHeap()
       : Cd(C.cd().sym()), Data(C.intern("data")),
-        Mem(Cd, HeapLayout::Compact, &C) {
+        Mem(Cd, C) {
     Mem.addRegion(Data, 0);
     RD = Mem.region(Data);
   }

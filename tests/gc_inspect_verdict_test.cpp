@@ -3,9 +3,9 @@
 // The post-mortem contract behind certgc_inspect --verdict (DESIGN.md
 // §3.14): for every forged-corruption kind the fuzzer can inject, the live
 // checker's rejection diagnostic must be reproduced BYTE FOR BYTE by
-// re-running the same checker over the snapshot loaded back from the dump
-// — under both heap layouts. This is the "verdict fidelity" guarantee the
-// snapshot format's symbol-table and fresh-name plumbing exist for.
+// re-running the same checker over the snapshot loaded back from the
+// dump. This is the "verdict fidelity" guarantee the snapshot format's
+// symbol-table and fresh-name plumbing exist for.
 //
 //===----------------------------------------------------------------------===//
 
@@ -31,11 +31,9 @@ struct CollectRig {
   std::unique_ptr<Machine> M;
   bool Restrict;
 
-  CollectRig(LanguageLevel Level, HeapLayout Layout, size_t N)
+  CollectRig(LanguageLevel Level, size_t N)
       : Restrict(Level == LanguageLevel::Forward) {
-    MachineConfig MC;
-    MC.Layout = Layout;
-    M = std::make_unique<Machine>(C, Level, MC);
+    M = std::make_unique<Machine>(C, Level);
     Address GcAddr{};
     switch (Level) {
     case LanguageLevel::Base:
@@ -64,9 +62,8 @@ struct CollectRig {
 /// the kind finds a victim) and demands the live full-checker verdict be
 /// reproduced offline. Returns false when no attempt produced an
 /// applied-and-rejected instance of the kind.
-bool checkKind(StateMutationKind Kind, LanguageLevel Level, HeapLayout Layout,
-               uint64_t Seed) {
-  CollectRig Rig(Level, Layout, 24);
+bool checkKind(StateMutationKind Kind, LanguageLevel Level, uint64_t Seed) {
+  CollectRig Rig(Level, 24);
   for (uint64_t I = 0, Prefix = 4 + 7 * (Seed % 5);
        I != Prefix && Rig.M->status() == Machine::Status::Running; ++I)
     Rig.M->step();
@@ -114,29 +111,24 @@ bool checkKind(StateMutationKind Kind, LanguageLevel Level, HeapLayout Layout,
 }
 
 TEST(InspectVerdict, AllMutationKindsReproduceOffline) {
-  // Every corruption kind must be exercised by at least one
-  // (level, layout) combination — a kind no combination can inject would
-  // silently drop coverage.
-  for (HeapLayout Layout : {HeapLayout::Compact, HeapLayout::Legacy}) {
-    SCOPED_TRACE(Layout == HeapLayout::Compact ? "compact" : "legacy");
-    unsigned Covered = 0;
-    for (unsigned K = 0; K != NumStateMutationKinds; ++K) {
-      bool Hit = false;
-      for (LanguageLevel Level :
-           {LanguageLevel::Base, LanguageLevel::Forward,
-            LanguageLevel::Generational})
-        for (uint64_t Seed = 1; Seed != 6 && !Hit; ++Seed)
-          Hit = checkKind(static_cast<StateMutationKind>(K), Level, Layout,
-                          Seed);
-      if (Hit)
-        ++Covered;
-      else
-        ADD_FAILURE() << "mutation kind "
-                      << stateMutationName(static_cast<StateMutationKind>(K))
-                      << " never applied+rejected on any level";
-    }
-    EXPECT_EQ(Covered, NumStateMutationKinds);
+  // Every corruption kind must be exercised by at least one level — a kind
+  // no level can inject would silently drop coverage.
+  unsigned Covered = 0;
+  for (unsigned K = 0; K != NumStateMutationKinds; ++K) {
+    bool Hit = false;
+    for (LanguageLevel Level :
+         {LanguageLevel::Base, LanguageLevel::Forward,
+          LanguageLevel::Generational})
+      for (uint64_t Seed = 1; Seed != 6 && !Hit; ++Seed)
+        Hit = checkKind(static_cast<StateMutationKind>(K), Level, Seed);
+    if (Hit)
+      ++Covered;
+    else
+      ADD_FAILURE() << "mutation kind "
+                    << stateMutationName(static_cast<StateMutationKind>(K))
+                    << " never applied+rejected on any level";
   }
+  EXPECT_EQ(Covered, NumStateMutationKinds);
 }
 
 /// The incremental checker's diagnostic is reproduced byte-for-byte too,
@@ -145,7 +137,7 @@ TEST(InspectVerdict, IncrementalDiagnosticReproduces) {
   for (LanguageLevel Level :
        {LanguageLevel::Base, LanguageLevel::Generational}) {
     SCOPED_TRACE(languageLevelName(Level));
-    CollectRig Rig(Level, HeapLayout::Compact, 24);
+    CollectRig Rig(Level, 24);
     IncrementalCheckOptions IOpts;
     IOpts.RestrictToReachable = Rig.Restrict;
     IncrementalStateCheck Inc(*Rig.M, IOpts);

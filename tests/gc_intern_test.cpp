@@ -63,17 +63,6 @@ TEST(Intern, DistinctNodesStayDistinct) {
   EXPECT_NE(C.typeM(R1, C.tagInt()), C.typeM(R2, C.tagInt()));
 }
 
-TEST(Intern, DisabledContextDoesNotUnify) {
-  GcContext C(/*EnableInterning=*/false);
-  EXPECT_FALSE(C.interningEnabled());
-  const Tag *A = C.tagProd(C.tagInt(), C.tagInt());
-  const Tag *B = C.tagProd(C.tagInt(), C.tagInt());
-  EXPECT_NE(A, B);
-  EXPECT_FALSE(A->isCanonical());
-  // Structural equality still holds, of course.
-  EXPECT_TRUE(tagEqual(C, A, B));
-}
-
 //===----------------------------------------------------------------------===//
 // 2. Normalization: idempotent and memoized
 //===----------------------------------------------------------------------===//
@@ -163,7 +152,6 @@ TEST(Intern, ScopeUnwindsTablesAndMemos) {
 
 TEST(Intern, CollectionAndStateCheckWithTracking) {
   GcContext C;
-  ASSERT_TRUE(C.interningEnabled());
   Machine M(C, LanguageLevel::Forward);
   Address GcAddr = installForwardCollector(M).Gc;
   Region R = M.createRegion("from", 0);
@@ -192,26 +180,6 @@ TEST(Intern, CollectionAndStateCheckWithTracking) {
             0u);
   EXPECT_GT(C.stats().EqualPointerHits, 0u);
   EXPECT_GT(C.stats().SubstGroundSkips, 0u);
-}
-
-TEST(Intern, DifferentialCollectStillAgrees) {
-  // The forwarding collector against the native sharing-preserving oracle
-  // on one forged heap, with interning on — graph shapes must agree (the
-  // detailed differential suite lives in gc_differential_collect_test).
-  auto LiveCells = [](bool Intern) {
-    GcContext C(Intern);
-    Machine M(C, LanguageLevel::Forward);
-    Address GcAddr = installForwardCollector(M).Gc;
-    Region R = M.createRegion("from", 0);
-    ForgedHeap H = forgeTree(M, R, R, 6, /*Share=*/true);
-    Address Fin = installFinisher(M, H.Tag);
-    const Term *E = collectOnceTerm(M, GcAddr, H, R, R, Fin);
-    M.start(E);
-    M.run(50'000'000);
-    EXPECT_EQ(M.status(), Machine::Status::Halted) << M.stuckReason();
-    return M.memory().liveDataCells();
-  };
-  EXPECT_EQ(LiveCells(true), LiveCells(false));
 }
 
 //===----------------------------------------------------------------------===//

@@ -11,7 +11,10 @@
 // forged random heaps pushed through one certified collection. The VM runs
 // with the incremental per-step checker enabled in the pipeline leg, so the
 // ⊢ (M, e) judgement is applied to the VM's reconstructed terms mid-
-// collection, not just at the end.
+// collection, not just at the end. One more pair runs the VM against the
+// environment machine with Ψ tracking off and no checks: the configuration
+// that arms the VM's word-direct FastHeap paths (word frame slots,
+// word-level put/set, aux-word opens), which a tracked run never takes.
 //
 // Stats comparison: everything except the Env* counters (the VM binds
 // frames, not environments) and the RecordPutCache hit/miss split (the put
@@ -88,10 +91,14 @@ struct Outcome {
   std::string StuckReason;
 };
 
-Outcome runPipeline(uint64_t Seed, LanguageLevel Level, EvalMode Mode) {
+/// \p TrackTypes off also turns every check off: without Ψ there is nothing
+/// to check against.
+Outcome runPipeline(uint64_t Seed, LanguageLevel Level, EvalMode Mode,
+                    bool TrackTypes = true) {
   PipelineOptions Opts;
   Opts.Level = Level;
   Opts.Machine.Eval = Mode;
+  Opts.Machine.TrackTypes = TrackTypes;
   Opts.Machine.DefaultRegionCapacity = 12; // small: force collections
   Opts.IncrementalCheck = true;
 
@@ -111,10 +118,10 @@ Outcome runPipeline(uint64_t Seed, LanguageLevel Level, EvalMode Mode) {
   // Deep-check every 13 steps: lands ⊢ (M, e) checks inside collections, so
   // a checker-visible difference between the VM's reconstructed term and
   // the interpreters' terms fails here, mid-collection.
-  Out.Run = Pipe.runMachine(3'000'000, /*CheckEveryN=*/13);
+  Out.Run = Pipe.runMachine(3'000'000, /*CheckEveryN=*/TrackTypes ? 13 : 0);
   Out.Stats = Pipe.machine().stats();
   Out.LiveCells = Pipe.machine().memory().liveDataCells();
-  Out.CheckOk = checkState(Pipe.machine()).Ok;
+  Out.CheckOk = TrackTypes && checkState(Pipe.machine()).Ok;
   Out.StuckReason = Pipe.machine().status() == Machine::Status::Stuck
                         ? Pipe.machine().stuckReason()
                         : "";
@@ -131,6 +138,8 @@ TEST_P(VmDiffPipeline, BackendsAgreeOnRandomPrograms) {
   Outcome E = runPipeline(Seed, Level, EvalMode::Env);
   Outcome V = runPipeline(Seed, Level, EvalMode::Vm);
   Outcome S = runPipeline(Seed, Level, EvalMode::Subst);
+  Outcome EF = runPipeline(Seed, Level, EvalMode::Env, /*TrackTypes=*/false);
+  Outcome VF = runPipeline(Seed, Level, EvalMode::Vm, /*TrackTypes=*/false);
 
   std::string What =
       "seed " + std::to_string(Seed) + " " + languageLevelName(Level);
@@ -148,6 +157,18 @@ TEST_P(VmDiffPipeline, BackendsAgreeOnRandomPrograms) {
     expectSameStats(E.Stats, Other->Stats, W);
   }
   EXPECT_TRUE(V.CheckOk) << What << ": final Vm state fails checkState";
+
+  std::string W = What + " (env vs vm, Ψ off)";
+  EXPECT_EQ(EF.Run.Ok, VF.Run.Ok)
+      << W << ": " << EF.Run.Error << " vs " << VF.Run.Error;
+  EXPECT_EQ(EF.Run.Value, VF.Run.Value) << W;
+  EXPECT_EQ(EF.Run.Steps, VF.Run.Steps) << W;
+  EXPECT_EQ(EF.StuckReason, VF.StuckReason) << W;
+  EXPECT_EQ(EF.LiveCells, VF.LiveCells) << W;
+  expectSameStats(EF.Stats, VF.Stats, W);
+  // Ψ tracking changes no step the machine takes.
+  EXPECT_EQ(E.Run.Value, EF.Run.Value) << W;
+  EXPECT_EQ(E.Run.Steps, EF.Run.Steps) << W;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -270,21 +291,26 @@ INSTANTIATE_TEST_SUITE_P(
 // Stuck diagnostics are byte-identical
 //===----------------------------------------------------------------------===//
 
-/// `let x = val 5 in let y = π1 x in halt y` is stuck on π1 of a non-pair.
-/// The VM's diagnostic must resolve the frame slot and print the value,
-/// byte-identically to both interpreters.
-std::string stuckReasonFor(EvalMode Mode) {
+/// `let a = put[r] 5 in let x = get a in let y = π1 x in halt y` is stuck
+/// on π1 of a non-pair. The VM's diagnostic must resolve the frame slot and
+/// print the value, byte-identically to both interpreters — with Ψ tracking
+/// off too, where the get leaves a raw heap word in the slot (FastHeap).
+std::string stuckReasonFor(EvalMode Mode, bool TrackTypes = true) {
   GcContext C;
   MachineConfig Cfg;
   Cfg.Eval = Mode;
+  Cfg.TrackTypes = TrackTypes;
   Machine M(C, LanguageLevel::Base, Cfg);
   std::unique_ptr<vm::VmExec> Vm;
   if (Mode == EvalMode::Vm)
     Vm = std::make_unique<vm::VmExec>(M);
-  Symbol X = C.intern("x"), Y = C.intern("y");
+  Region R = M.createRegion("r", 0);
+  Symbol A = C.intern("a"), X = C.intern("x"), Y = C.intern("y");
   const Term *E = C.termLet(
-      X, C.opVal(C.valInt(5)),
-      C.termLet(Y, C.opProj(1, C.valVar(X)), C.termHalt(C.valVar(Y))));
+      A, C.opPut(R, C.valInt(5)),
+      C.termLet(X, C.opGet(C.valVar(A)),
+                C.termLet(Y, C.opProj(1, C.valVar(X)),
+                          C.termHalt(C.valVar(Y)))));
   M.start(E);
   M.run(100);
   EXPECT_EQ(M.status(), Machine::Status::Stuck) << modeName(Mode);
@@ -298,6 +324,11 @@ TEST(VmDiff, StuckDiagnosticsMatchAllBackends) {
   EXPECT_EQ(E, V);
   EXPECT_EQ(E, S);
   EXPECT_NE(V.find("5"), std::string::npos) << V;
+
+  std::string EF = stuckReasonFor(EvalMode::Env, /*TrackTypes=*/false);
+  std::string VF = stuckReasonFor(EvalMode::Vm, /*TrackTypes=*/false);
+  EXPECT_EQ(EF, VF);
+  EXPECT_EQ(E, VF);
 }
 
 } // namespace

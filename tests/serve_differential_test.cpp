@@ -30,8 +30,8 @@ TEST(Manifest, ParsesFullLine) {
                             "\n"
                             "level=gen eval=vm gen-seed=7 capacity=128 "
                             "check-every=64 full-check-every=4 "
-                            "async-check=1 threads=2 max-steps=1000 "
-                            "layout=legacy # trailing\n",
+                            "async-check=1 threads=2 "
+                            "max-steps=1000 # trailing\n",
                             "", M, Err))
       << Err;
   ASSERT_EQ(M.Sessions.size(), 1u);
@@ -46,7 +46,6 @@ TEST(Manifest, ParsesFullLine) {
   EXPECT_TRUE(S.AsyncCheck);
   EXPECT_EQ(S.Threads, 2u);
   EXPECT_EQ(S.MaxSteps, 1000u);
-  EXPECT_EQ(S.Layout, gc::HeapLayout::Legacy);
 }
 
 TEST(Manifest, DefaultsApply) {
@@ -82,6 +81,12 @@ TEST(Manifest, DiagnosticsCarryLineNumbers) {
       {"gen-seed=zap\n", "not an unsigned integer"},
       {"gen-seed=1 threads=9999\n", "threads=9999"},
       {"gen-seed=1 bogus=3\n", "unknown key"},
+      // The heap has one layout; the key that chose between two is gone.
+      {"gen-seed=1 layout=compact\n", "unknown key 'layout'"},
+      // The async step loop has no stall hook: refused in either key order.
+      {"gen-seed=1\ngen-seed=2 async-check=1 stall-at-step=5\n", "line 2"},
+      {"gen-seed=1 stall-at-step=5 async-check=1\n",
+       "stall-at-step=N needs the synchronous step loop"},
       {"gen-seed=1 eval\n", "expected key=value"},
       {"", "no sessions"},
   };

@@ -70,6 +70,21 @@ TEST(ParseEnv, OutOfRangeDiagnosesAndFallsBack) {
   EXPECT_FALSE(R.Diag.empty());
 }
 
+TEST(ParseFlag, BoundedUnsignedTakesWholeStringsInRange) {
+  EXPECT_EQ(parseUint64Upto("0", 10), 0u);
+  EXPECT_EQ(parseUint64Upto("4294967295", UINT32_MAX), UINT32_MAX);
+  for (const char *Bad : {"", "pony", "12x", "-1", " 3", "4294967296"})
+    EXPECT_FALSE(parseUint64Upto(Bad, UINT32_MAX)) << '"' << Bad << '"';
+}
+
+TEST(ParseFlag, SecondsAreFiniteAndNonNegative) {
+  EXPECT_EQ(parseSeconds("0"), 0.0);
+  EXPECT_EQ(parseSeconds("2.5"), 2.5);
+  EXPECT_EQ(parseSeconds("1e1"), 10.0);
+  for (const char *Bad : {"", "pony", "1x", "-1", "inf", "nan", "1 "})
+    EXPECT_FALSE(parseSeconds(Bad)) << '"' << Bad << '"';
+}
+
 //===----------------------------------------------------------------------===//
 // Native-GC thread knob: scoped per-thread override
 //===----------------------------------------------------------------------===//
