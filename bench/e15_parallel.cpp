@@ -1,85 +1,31 @@
-//===- bench/e15_parallel.cpp - E15: parallel copy & pipelined ⊢ (M, e) ---===//
+//===- bench/e15_parallel.cpp - E15: pipelined ⊢ (M, e) -------------------===//
 //
-// PR 7's two throughput levers, measured separately because they compose:
+// Pipelined certification: the incremental checker displaced onto a
+// checker thread behind a bounded queue (gc/AsyncCheck.h). The mutator
+// pays only for *capture* (journal slice + dirty offsets), not for the
+// check itself. Sustained throughput is still checker-bound — the queue
+// fills and backpressure returns the mutator to the checker's pace — so
+// the honest measurement is a *bounded sprint* that fits in the queue:
+// mutator-side steps/sec over a fixed window, sync per-step incremental
+// check vs async capture, on the E12 workloads (E2 forwarding, E4
+// generational). Claim: >= 3x. Verdict agreement on the accept side is
+// checked here (session verdict + a final full checkState oracle); the
+// reject side is the differential mutation test
+// (tests/gc_async_check_test.cpp).
 //
-//  A. *Parallel copy*: the native Cheney collector's copy loop over chunked
-//     work-stealing queues (gc/NativeCollector.h, Threads > 1). The mutator
-//     is parked for the whole collection, so from-space is stable and the
-//     only coordination is per-cell claim CASes and chunk steals. Claim:
-//     copy phase >= 2x at 4 threads on wide heaps (gated on the box
-//     actually having >= 4 cores; a list heap has a frontier of width 1
-//     and is reported for contrast, not gated).
-//
-//  B. *Pipelined certification*: the incremental checker displaced onto a
-//     checker thread behind a bounded queue (gc/AsyncCheck.h). The mutator
-//     pays only for *capture* (journal slice + dirty offsets), not for the
-//     check itself. Sustained throughput is still checker-bound — the queue
-//     fills and backpressure returns the mutator to the checker's pace —
-//     so the honest measurement is a *bounded sprint* that fits in the
-//     queue: mutator-side steps/sec over a fixed window, sync per-step
-//     incremental check vs async capture, on the E12 workloads (E2
-//     forwarding, E4 generational). Claim: >= 3x. Verdict agreement on the
-//     accept side is checked here (session verdict + a final full
-//     checkState oracle); the reject side is the differential mutation
-//     test (tests/gc_async_check_test.cpp).
+// The binary's name is historical (EXPERIMENTS.md, E15).
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
 
 #include "gc/AsyncCheck.h"
-#include "gc/NativeCollector.h"
 #include "gc/StateCheck.h"
-
-#include <thread>
 
 using namespace scav;
 using namespace scav::bench;
 
 namespace {
-
-//===----------------------------------------------------------------------===//
-// Part A: parallel Cheney copy
-//===----------------------------------------------------------------------===//
-
-struct CopyHeap {
-  const char *Name;
-  ForgedHeap (*Forge)(Machine &M, Region R);
-  bool Gated; ///< Counts toward the >= 2x verdict.
-};
-
-double copyOnce(const CopyHeap &H, unsigned Threads, NativeGcStats &Stats) {
-  GcContext C;
-  MachineConfig Cfg;
-  Cfg.TrackTypes = false; // raw copy throughput; Ψ refresh is E8's story
-  Machine M(C, LanguageLevel::Base, Cfg);
-  Region R = M.createRegion("from", 0);
-  ForgedHeap Heap = H.Forge(M, R);
-  auto T0 = std::chrono::steady_clock::now();
-  nativeCollect(M, Heap.Root, R, /*PreserveSharing=*/true, Stats,
-                CopyOrder::BreadthFirst, Threads);
-  return secondsSince(T0);
-}
-
-/// Best-of-\p Reps copy time (forge cost excluded; each rep re-forges
-/// because the collect consumes the from-space).
-double copyBest(const CopyHeap &H, unsigned Threads, int Reps,
-                NativeGcStats &Stats) {
-  double Best = 0;
-  for (int I = 0; I != Reps; ++I) {
-    NativeGcStats S;
-    double T = copyOnce(H, Threads, S);
-    if (I == 0 || T < Best) {
-      Best = T;
-      Stats = std::move(S);
-    }
-  }
-  return Best;
-}
-
-//===----------------------------------------------------------------------===//
-// Part B: sync incremental check vs async capture, bounded sprint
-//===----------------------------------------------------------------------===//
 
 struct Workload {
   const char *Name;
@@ -195,61 +141,13 @@ SprintResult asyncSprint(const Workload &W, uint64_t Window,
 int main(int argc, char **argv) {
   std::string JsonPath = parseBenchArgs(argc, argv);
   JsonReport Report("e15_parallel");
-  unsigned Cores = std::thread::hardware_concurrency();
-  std::printf("E15: parallel native copy and pipelined certification\n");
-  std::printf("claims: (A) work-stealing Cheney copy >= 2x at 4 threads on "
-              "wide heaps;\n(B) async capture makes per-step-certified "
-              "mutator sprints >= 3x the sync\nincremental checker on the "
-              "E2/E4 workloads, verdicts agreeing\n\n");
+  std::printf("E15: pipelined certification\n");
+  std::printf("claim: async capture makes per-step-certified mutator sprints "
+              ">= 3x the sync\nincremental checker on the E2/E4 workloads, "
+              "verdicts agreeing\n\n");
 
   bool Ok = true;
-
-  // --- Part A -----------------------------------------------------------
-  std::printf("A. copy phase, serial vs 4 threads (cores here: %u)\n", Cores);
-  std::printf("%10s %9s %12s %12s %8s %7s %7s\n", "heap", "copied",
-              "serial ms", "par4 ms", "speedup", "steals", "chunks");
-  const CopyHeap Heaps[] = {
-      {"tree17", [](Machine &M, Region R) {
-         return forgeTree(M, R, R, 17, /*Share=*/false);
-       }, true},
-      {"tree14", [](Machine &M, Region R) {
-         return forgeTree(M, R, R, 14, /*Share=*/false);
-       }, true},
-      {"list40k", [](Machine &M, Region R) {
-         return forgeList(M, R, R, 40'000);
-       }, false}, // frontier width 1: no parallelism available, not gated
-  };
-  const int Reps = 3;
-  bool GateCopy = Cores >= 4;
-  for (const CopyHeap &H : Heaps) {
-    NativeGcStats Serial, Par;
-    double TS = copyBest(H, 1, Reps, Serial);
-    double TP = copyBest(H, 4, Reps, Par);
-    double Speedup = TP > 0 ? TS / TP : 0;
-    std::printf("%10s %9llu %12.2f %12.2f %7.2fx %7llu %7llu\n", H.Name,
-                (unsigned long long)Par.ObjectsCopied, TS * 1e3, TP * 1e3,
-                Speedup, (unsigned long long)Par.Steals,
-                (unsigned long long)Par.ChunksPublished);
-    if (Par.ObjectsCopied != Serial.ObjectsCopied) {
-      std::fprintf(stderr, "%s: live set differs across thread counts\n",
-                   H.Name);
-      Ok = false;
-    }
-    if (H.Gated && GateCopy)
-      Ok = Ok && Speedup >= 2.0;
-    std::string P = H.Name;
-    Report.metric(P + "_objects", Par.ObjectsCopied);
-    Report.metric(P + "_serial_ms", TS * 1e3);
-    Report.metric(P + "_par4_ms", TP * 1e3);
-    Report.metric(P + "_copy_speedup", Speedup);
-    if (std::string_view(H.Name) == "tree17")
-      Par.exportTo(Report.registry()); // gc.parallel.* from the widest heap
-  }
-  if (!GateCopy)
-    std::printf("  (< 4 cores: the 2x gate is reported but not enforced)\n");
-
-  // --- Part B -----------------------------------------------------------
-  std::printf("\nB. certified-mutator sprint, sync check vs async capture\n");
+  std::printf("certified-mutator sprint, sync check vs async capture\n");
   std::printf("%12s %8s %12s %12s %8s\n", "workload", "steps", "sync st/s",
               "async st/s", "speedup");
   const Workload Workloads[] = {
@@ -281,9 +179,8 @@ int main(int argc, char **argv) {
   }
 
   std::printf("\n");
-  verdict(Ok, "parallel copy >= 2x at 4 threads (wide heaps) and async "
-              "capture sprints >= 3x the sync incremental checker, verdicts "
-              "agreeing");
+  verdict(Ok, "async capture sprints >= 3x the sync incremental checker, "
+              "verdicts agreeing");
   Report.pass(Ok);
   Report.write(JsonPath);
   return Ok ? 0 : 1;

@@ -23,13 +23,10 @@
 //                                  mutator; verdicts byte-identical to the
 //                                  synchronous checker's — DESIGN.md §3.11);
 //                                  env SCAV_ASYNC_CHECK=1 sets the default;
-//                                  rejected with --corrupt-at-step
-//     --threads N                  worker threads for parallel native
-//                                  copies (nativeCollect callers that use
-//                                  the process default; the certified λGC
-//                                  collectors are sequential by
-//                                  construction); env SCAV_THREADS sets
-//                                  the default
+//                                  needs the incremental checker and the
+//                                  env or subst engine, so it is rejected
+//                                  with --full-check, --eval-mode vm,
+//                                  --corrupt-at-step and --gc
 //     --certify                    typecheck all cd code before running
 //     --dump-clos                  print the λCLOS program
 //     --stats                      print machine + checker statistics
@@ -50,21 +47,28 @@
 //                                  (CI crash-dump fixture; needs
 //                                  --check-every, synchronous checks only)
 //     --corrupt-kind K             which StateMutationKind to start
-//                                  cycling from (default 0)
+//                                  cycling from (default 0; needs
+//                                  --corrupt-at-step)
 //     --corrupt-seed S             RNG seed for the forged corruption
-//                                  (default 1)
+//                                  (default 1; needs --corrupt-at-step)
 //     --gc <file>                  run a raw λGC program (see gc/Parse.h);
 //                                  `(fn gc)` refers to the installed
-//                                  collector of the chosen --level
+//                                  collector of the chosen --level. This
+//                                  path reads the level, the machine
+//                                  options, --certify, the check flags
+//                                  and the report flags; it rejects the
+//                                  pipeline-only --async-check,
+//                                  --full-check-every, --dump-dir,
+//                                  --dump-clos and the --corrupt-* flags
 //
 // Numeric values must be whole unsigned integers in the field's range; a
-// malformed value prints usage and exits 2.
+// malformed value prints usage and exits 2. So does an option combination
+// that would run something other than what it asks for.
 //
 //===----------------------------------------------------------------------===//
 
 #include "harness/Pipeline.h"
 
-#include "gc/NativeCollector.h"
 #include "gc/Parse.h"
 #include "support/ParseInt.h"
 
@@ -85,7 +89,7 @@ int usage() {
                "usage: certgc_run [--level base|forward|gen]"
                " [--eval-mode env|subst|vm] [--capacity N]"
                " [--check-every N] [--full-check] [--full-check-every N]"
-               " [--async-check] [--threads N]"
+               " [--async-check]"
                " [--certify] [--dump-clos] [--stats] [--stats-json FILE]"
                " [--trace-out FILE] [--dump-dir DIR] [--corrupt-at-step N]"
                " [--corrupt-kind K] [--corrupt-seed S]"
@@ -128,6 +132,10 @@ int main(int argc, char **argv) {
   uint32_t CheckEveryN = checkEveryFromEnv(0);
   bool Certify = false, DumpClos = false, Stats = false;
   bool RawGc = false;
+  // The last pipeline-only flag given (the --gc path refuses them), and
+  // whether fault injection was tuned (--corrupt-kind/--corrupt-seed).
+  const char *PipelineOnly = nullptr;
+  bool CorruptTuned = false;
   std::string Source;
   std::string TraceOut, StatsJson;
 
@@ -184,17 +192,14 @@ int main(int argc, char **argv) {
       if (!N)
         return usage();
       Opts.FullCheckEvery = static_cast<uint32_t>(*N);
+      PipelineOnly = "--full-check-every";
     } else if (A == "--async-check") {
       Opts.AsyncCheck = true;
-    } else if (A == "--threads") {
-      std::optional<uint64_t> N = NumArg(1024); // SCAV_THREADS's range
-      if (!N)
-        return usage();
-      gc::setNativeGcThreads(static_cast<unsigned>(*N));
     } else if (A == "--certify") {
       Certify = true;
     } else if (A == "--dump-clos") {
       DumpClos = true;
+      PipelineOnly = "--dump-clos";
     } else if (A == "--stats") {
       Stats = true;
     } else if (A == "--stats-json") {
@@ -212,21 +217,27 @@ int main(int argc, char **argv) {
       if (!F)
         return usage();
       Opts.DumpDir = F;
+      PipelineOnly = "--dump-dir";
     } else if (A == "--corrupt-at-step") {
       std::optional<uint64_t> N = NumArg(UINT64_MAX);
       if (!N)
         return usage();
       Opts.CorruptAtStep = *N;
+      PipelineOnly = "--corrupt-at-step";
     } else if (A == "--corrupt-kind") {
       std::optional<uint64_t> N = NumArg(UINT32_MAX);
       if (!N)
         return usage();
       Opts.CorruptKind = static_cast<unsigned>(*N);
+      PipelineOnly = "--corrupt-kind";
+      CorruptTuned = true;
     } else if (A == "--corrupt-seed") {
       std::optional<uint64_t> N = NumArg(UINT64_MAX);
       if (!N)
         return usage();
       Opts.CorruptSeed = *N;
+      PipelineOnly = "--corrupt-seed";
+      CorruptTuned = true;
     } else if (A == "-e") {
       const char *E = NextArg();
       if (!E)
@@ -260,13 +271,34 @@ int main(int argc, char **argv) {
   }
   if (Source.empty())
     return usage();
+  // Combinations the run would not honour are refused, not dropped.
+  auto Reject = [](const std::string &Msg) {
+    std::fprintf(stderr, "certgc_run: %s\n", Msg.c_str());
+    return 2;
+  };
+  if (RawGc && PipelineOnly)
+    return Reject(std::string(PipelineOnly) +
+                  " needs the compile pipeline; --gc runs a raw lambda-GC "
+                  "program");
+  if (RawGc && Opts.AsyncCheck)
+    return Reject("--gc checks synchronously; drop --async-check (or "
+                  "SCAV_ASYNC_CHECK)");
+  if (CorruptTuned && Opts.CorruptAtStep == 0)
+    return Reject("--corrupt-kind and --corrupt-seed need --corrupt-at-step");
   // The async step loop has no fault-injection hook: the corruption would
   // silently never happen.
-  if (Opts.AsyncCheck && Opts.CorruptAtStep != 0) {
-    std::fprintf(stderr, "--corrupt-at-step needs synchronous checks; drop "
-                         "--async-check (or SCAV_ASYNC_CHECK)\n");
-    return 2;
-  }
+  if (Opts.AsyncCheck && Opts.CorruptAtStep != 0)
+    return Reject("--corrupt-at-step needs synchronous checks; drop "
+                  "--async-check (or SCAV_ASYNC_CHECK)");
+  // Pipeline::runMachine pipelines only the incremental checker, and only
+  // over the env or subst engine's term state.
+  if (Opts.AsyncCheck && !Opts.IncrementalCheck)
+    return Reject("--async-check pipelines the incremental checker; drop "
+                  "--full-check or --async-check (or SCAV_ASYNC_CHECK)");
+  if (Opts.AsyncCheck && Opts.Machine.Eval == gc::EvalMode::Vm)
+    return Reject("--async-check needs --eval-mode env or subst; the VM "
+                  "checks synchronously (check SCAV_ASYNC_CHECK and "
+                  "SCAV_EVAL_MODE)");
 
   // Dump bundles record how to rerun this exact invocation.
   if (!Opts.DumpDir.empty())

@@ -941,16 +941,6 @@ public:
 
   Arena &arena() { return Alloc; }
 
-  /// Takes ownership of \p A, keeping every node allocated in it alive for
-  /// this context's lifetime. The parallel collector's workers build copied
-  /// values in private arenas (no lock on the context's allocator); once the
-  /// workers join, their arenas are adopted here so the values installed in
-  /// machine memory stay valid.
-  void adoptArena(std::unique_ptr<Arena> A) {
-    assert(!Frozen && "adopting arenas into a frozen shared base");
-    AdoptedArenas.push_back(std::move(A));
-  }
-
 private:
   static size_t hashCombine(size_t Seed, size_t V) {
     return Seed ^ (V + 0x9e3779b97f4a7c15ULL + (Seed << 6) + (Seed >> 2));
@@ -1200,8 +1190,6 @@ private:
     return new (Alloc.allocateFor<Term>()) Term(K);
   }
 
-  friend class ValueBuilder;
-
   Arena Alloc;
   /// Owned unless constructed over a shared table (observer contexts).
   /// OwnedSyms must be declared before the reference that may bind to it.
@@ -1222,8 +1210,6 @@ private:
   std::string FreshTag;
   uint64_t FreshCtr = 0;
   uint64_t OracleCtr = 0; ///< see oracleFreshCtr()
-  /// Worker arenas adopted after a parallel collection (adoptArena).
-  std::vector<std::unique_ptr<Arena>> AdoptedArenas;
 
   const Kind *OmegaKind;
   const Tag *IntTagNode;
@@ -1244,131 +1230,6 @@ private:
   std::unordered_map<const Type *, std::array<const Type *, 3>> TypeNormalMemo;
   std::vector<const Tag *> TagMemoLog;
   std::vector<std::pair<const Type *, size_t>> TypeMemoLog;
-};
-
-/// Value factories over a caller-owned arena, for the parallel collector's
-/// worker threads. GcContext's factories funnel through its single Arena,
-/// which is not thread-safe; each copy worker instead builds the copied
-/// values through one of these over a private Arena, and the machine's
-/// context adopts the arena (GcContext::adoptArena) after the workers join.
-/// Only the value shapes a collector can copy are provided — workers never
-/// build Code/Var values, Ops, or Terms.
-class ValueBuilder {
-public:
-  explicit ValueBuilder(Arena &A) : A(A) {}
-  ValueBuilder(const ValueBuilder &) = delete;
-  ValueBuilder &operator=(const ValueBuilder &) = delete;
-
-  const Value *valInt(int64_t N) {
-    Value *V = allocValue(ValueKind::Int);
-    V->N = N;
-    return V;
-  }
-
-  const Value *valAddr(Address Addr) {
-    assert(Addr.R.isName() && "addresses live in concrete regions");
-    Value *V = allocValue(ValueKind::Addr);
-    V->Addr = Addr;
-    return V;
-  }
-
-  const Value *valPair(const Value *L, const Value *R) {
-    Value *V = allocValue(ValueKind::Pair);
-    V->A = L;
-    V->B = R;
-    return V;
-  }
-
-  const Value *valInl(const Value *Payload) {
-    Value *V = allocValue(ValueKind::Inl);
-    V->A = Payload;
-    return V;
-  }
-
-  const Value *valInr(const Value *Payload) {
-    Value *V = allocValue(ValueKind::Inr);
-    V->A = Payload;
-    return V;
-  }
-
-  const Value *valPackTag(Symbol Var, const Tag *Witness, const Value *Payload,
-                          const Type *BodyType) {
-    Value *V = allocValue(ValueKind::PackTag);
-    V->V = Var;
-    V->TW = Witness;
-    V->A = Payload;
-    V->BT = BodyType;
-    return V;
-  }
-
-  const Value *valPackTyVar(Symbol Var, const RegionSet *Delta,
-                            const Type *Witness, const Value *Payload,
-                            const Type *BodyType) {
-    Value *V = allocValue(ValueKind::PackTyVar);
-    V->V = Var;
-    V->Delta = Delta;
-    V->TyW = Witness;
-    V->A = Payload;
-    V->BT = BodyType;
-    return V;
-  }
-
-  const Value *valPackTyVar(Symbol Var, RegionSet Delta, const Type *Witness,
-                            const Value *Payload, const Type *BodyType) {
-    return valPackTyVar(Var, allocRegionSet(std::move(Delta)), Witness,
-                        Payload, BodyType);
-  }
-
-  const Value *valPackRegion(Symbol Var, const RegionSet *Delta,
-                             Region Witness, const Value *Payload,
-                             const Type *BodyType) {
-    Value *V = allocValue(ValueKind::PackRegion);
-    V->V = Var;
-    V->Delta = Delta;
-    V->RW = Witness;
-    V->A = Payload;
-    V->BT = BodyType;
-    return V;
-  }
-
-  const Value *valPackRegion(Symbol Var, RegionSet Delta, Region Witness,
-                             const Value *Payload, const Type *BodyType) {
-    return valPackRegion(Var, allocRegionSet(std::move(Delta)), Witness,
-                         Payload, BodyType);
-  }
-
-  const Value *valTransApp(const Value *Inner, const TransData *Args) {
-    Value *V = allocValue(ValueKind::TransApp);
-    V->A = Inner;
-    V->Trans = Args;
-    return V;
-  }
-
-  const Value *valTransApp(const Value *Inner, std::vector<const Tag *> TagArgs,
-                           std::vector<Region> RegionArgs) {
-    return valTransApp(Inner,
-                       allocTransData(std::move(TagArgs),
-                                      std::move(RegionArgs)));
-  }
-
-  const TransData *allocTransData(std::vector<const Tag *> TagArgs,
-                                  std::vector<Region> RegionArgs) {
-    auto *D = A.create<TransData>();
-    D->TagArgs = std::move(TagArgs);
-    D->RegionArgs = std::move(RegionArgs);
-    return D;
-  }
-
-  const RegionSet *allocRegionSet(RegionSet RS) {
-    return A.create<RegionSet>(std::move(RS));
-  }
-
-private:
-  Value *allocValue(ValueKind K) {
-    return new (A.allocateFor<Value>()) Value(K);
-  }
-
-  Arena &A;
 };
 
 } // namespace scav::gc

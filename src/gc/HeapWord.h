@@ -27,8 +27,8 @@
 /// The three pack forms — λGC's existential wrappers, which every heap
 /// reference the collector programs copy is wrapped in — keep their value
 /// payload in the word world and stash the type-level attachments as raw
-/// 64-bit entries in Aux (interned/arena pointers and POD symbols, all
-/// with a zero tag nibble — see packable()):
+/// 64-bit entries in Aux (interned/arena pointers, POD symbols and packed
+/// regions):
 ///
 ///   PackTagAux     Aux[i]=payload word  [i+1]=binder Symbol
 ///                  [i+2]=witness Tag*   [i+3]=body Type*
@@ -39,12 +39,10 @@
 ///                  [i+2]=∆ RegionSet*   [i+3]=witness region (regionBits)
 ///                  [i+4]=body Type*
 ///
-/// Attachment entries deliberately read as Hole-tagged words: the parallel
-/// copier's index-rebase sweep walks Aux blindly, rewrites only words with
-/// an aux-index tag, and passes attachments through untouched. Decoding a
-/// pack word rebuilds a fresh Value node (attachment pointers are shared,
-/// the node itself is not), so unlike Box it preserves structure, not
-/// pointer identity.
+/// Attachment entries are not words: every reader takes them by position
+/// within the pack's span, never by tag. Decoding a pack word rebuilds a
+/// fresh Value node (attachment pointers are shared, the node itself is
+/// not), so unlike Box it preserves structure, not pointer identity.
 ///
 ///   Hole     the all-zero word: a reserved-but-unfilled slot (Cheney
 ///            reserve, reserveCode). Int has tag 1 so that the integer 0 is
@@ -152,13 +150,6 @@ inline constexpr uint32_t auxSpan(WordTag T) {
 /// True for words whose payload is an index into the owning region's Aux
 /// table (everything the region-liveness reasoning has to care about).
 inline constexpr bool isAuxTag(WordTag T) { return auxSpan(T) != 0; }
-
-/// An interned/arena pointer is packable as a raw Aux attachment entry iff
-/// its tag nibble is zero (true for userspace pointers on every supported
-/// target; encoders fall back to Box when it is not).
-inline bool packable(const void *P) {
-  return (reinterpret_cast<uintptr_t>(P) >> TagShift) == 0;
-}
 
 inline uint64_t ptrBits(const void *P) {
   return static_cast<uint64_t>(reinterpret_cast<uintptr_t>(P));

@@ -67,8 +67,7 @@ uint64_t Memory::encodeValue(RegionData &R, const Value *V) {
     return make(IsInl ? WordTag::InlAux : WordTag::InrAux, I);
   }
   case ValueKind::PackTag: {
-    if (!packable(V->tagWitness()) || !packable(V->bodyType()) ||
-        R.Aux.size() + 4 > size_t(std::numeric_limits<uint32_t>::max()))
+    if (R.Aux.size() + 4 > size_t(std::numeric_limits<uint32_t>::max()))
       return boxValue(R, V);
     uint32_t I = static_cast<uint32_t>(R.Aux.size());
     R.Aux.resize(I + 4, Hole);
@@ -80,9 +79,7 @@ uint64_t Memory::encodeValue(RegionData &R, const Value *V) {
   }
   case ValueKind::PackTyVar: {
     const RegionSet *Delta = &V->delta();
-    if (!packable(Delta) || !packable(V->typeWitness()) ||
-        !packable(V->bodyType()) ||
-        R.Aux.size() + 5 > size_t(std::numeric_limits<uint32_t>::max()))
+    if (R.Aux.size() + 5 > size_t(std::numeric_limits<uint32_t>::max()))
       return boxValue(R, V);
     uint32_t I = static_cast<uint32_t>(R.Aux.size());
     R.Aux.resize(I + 5, Hole);
@@ -95,8 +92,7 @@ uint64_t Memory::encodeValue(RegionData &R, const Value *V) {
   }
   case ValueKind::PackRegion: {
     const RegionSet *Delta = &V->delta();
-    if (!packable(Delta) || !packable(V->bodyType()) ||
-        R.Aux.size() + 5 > size_t(std::numeric_limits<uint32_t>::max()))
+    if (R.Aux.size() + 5 > size_t(std::numeric_limits<uint32_t>::max()))
       return boxValue(R, V);
     uint32_t I = static_cast<uint32_t>(R.Aux.size());
     R.Aux.resize(I + 5, Hole);

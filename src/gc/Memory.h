@@ -285,23 +285,6 @@ public:
     return Off;
   }
 
-  /// Bulk append of already-encoded words (the parallel copy's epilogue;
-  /// word aux/box indices must already be rebased into \p R's tables). One
-  /// Version bump; like put, fresh cells are not dirty-logged — consumers
-  /// see them from Cells.size() growth.
-  bool appendWords(RegionData &R, Symbol S, const std::vector<uint64_t> &Ws) {
-    if (R.Cells.size() + Ws.size() >= std::numeric_limits<uint32_t>::max())
-      return false;
-    R.Words.insert(R.Words.end(), Ws.begin(), Ws.end());
-    R.Cells.resize(R.Words.size(), nullptr);
-    R.Undecoded += static_cast<uint32_t>(Ws.size());
-    R.TotalAllocated += Ws.size();
-    ++R.Version;
-    if (S != CdSym)
-      LiveData += Ws.size();
-    return true;
-  }
-
   /// Replaces every cell of region \p S with \p Vs (the async checker
   /// mirror's snapshot deltas). Version is bumped, never reset, so a
   /// consumer's remembered stamp cannot match the new contents by
@@ -498,7 +481,7 @@ public:
   size_t numRegions() const { return Regions.size(); }
 
   /// Live cells across all regions except cd. O(1): a running counter
-  /// maintained by put/appendWords/replaceCells and the region drops (the
+  /// maintained by put/replaceCells and the region drops (the
   /// only paths that grow or drop data-region cells) — it is read from the
   /// per-step trace counter track, where an O(regions) sum was measurable.
   size_t liveDataCells() const { return LiveData; }

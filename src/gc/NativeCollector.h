@@ -11,7 +11,9 @@
 ///
 /// Unlike the certified collectors it is not written in λGC and is
 /// therefore part of the trusted computing base — exactly the situation
-/// the paper is trying to eliminate (§2.1).
+/// the paper is trying to eliminate (§2.1). It is kept no larger than those
+/// two roles need: one sequential copy, in two orders that share a single
+/// rewrite of the heap's word and value shapes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,97 +21,34 @@
 #define SCAV_GC_NATIVECOLLECTOR_H
 
 #include "gc/Machine.h"
-#include "support/Metrics.h"
-
-#include <vector>
 
 namespace scav::gc {
 
 struct NativeGcStats {
   uint64_t ObjectsCopied = 0;
   uint64_t ForwardingHits = 0; ///< Shared objects found already copied.
-  // Parallel-copy counters (gc.parallel.* in bench JSON). Zero/empty on the
-  // serial paths.
-  unsigned Workers = 0;          ///< Worker threads that ran.
-  uint64_t Steals = 0;           ///< Chunks taken from another worker.
-  uint64_t ChunksPublished = 0;  ///< Chunks made visible for stealing.
-  std::vector<uint64_t> WorkerCopyNs;   ///< Per-worker wall time in the loop.
-  std::vector<uint64_t> WorkerObjects;  ///< Per-worker cells copied.
-
-  /// Publishes under "gc.parallel.*": the scalar counters plus per-worker
-  /// copy-loop time and copied-cell distributions as histograms (the JSON
-  /// record then carries count/mean/p50/p99/max for each).
-  void exportTo(support::MetricsRegistry &Reg) const {
-    Reg.setCounter("gc.parallel.workers", Workers);
-    Reg.setCounter("gc.parallel.steals", Steals);
-    Reg.setCounter("gc.parallel.chunks_published", ChunksPublished);
-    Reg.setCounter("gc.parallel.objects_copied", ObjectsCopied);
-    Reg.setCounter("gc.parallel.forwarding_hits", ForwardingHits);
-    for (uint64_t Ns : WorkerCopyNs)
-      Reg.histogram("gc.parallel.worker_copy_ns").record(double(Ns));
-    for (uint64_t N : WorkerObjects)
-      Reg.histogram("gc.parallel.worker_objects").record(double(N));
-  }
 };
 
 /// Copy order. The paper's certified collectors are depth-first (their
 /// stack is the continuation region, §6.1); §10 names Cheney-style
 /// breadth-first copying as the desired extension — provided here at the
 /// native level, with the classic reserved-slot forwarding trick standing
-/// in for Cheney's scan pointer.
+/// in for Cheney's scan pointer. Both orders share one word and value
+/// rewrite; they differ only in when a reached cell is copied.
 enum class CopyOrder { DepthFirst, BreadthFirst };
 
 /// Copies everything reachable from \p Root out of region \p From into a
 /// fresh region of \p M, then reclaims \p From. With \p PreserveSharing, a
 /// forwarding table keeps DAGs intact (the Fig 9 behaviour); without it,
-/// sharing is lost (the Fig 4 behaviour). Returns the relocated root and
-/// the new region.
-///
-/// With \p Threads > 1 and BreadthFirst order, the Cheney copy runs on that
-/// many worker threads over chunked work-stealing queues (the mutator is
-/// parked for the whole collection, so the from-space is stable). Cell
-/// order in the to-region then depends on claim interleaving; `Threads ==
-/// 1` always takes the sequential path, which is bit-identical to the
-/// pre-parallel collector (the differential/golden tests rely on this).
-/// `Threads == 0` resolves to the process default (setNativeGcThreads /
-/// SCAV_THREADS, else 1). DepthFirst ignores \p Threads: its copy order
-/// *is* the recursion order.
+/// sharing is lost (the Fig 4 behaviour). BreadthFirst always preserves
+/// sharing: its reserved slot is the forwarding pointer. Returns the
+/// relocated root and the new region.
 ///
 /// Ψ is refreshed for the new region when the machine tracks types.
 std::pair<const Value *, Region>
 nativeCollect(Machine &M, const Value *Root, Region From,
               bool PreserveSharing, NativeGcStats &Stats,
-              CopyOrder Order = CopyOrder::DepthFirst, unsigned Threads = 0);
-
-/// Default worker count for parallel native copies, used when nativeCollect
-/// is called with Threads == 0: a calling thread's scoped override when one
-/// is active (ScopedNativeGcThreads), else the process-wide default.
-/// The process default is initialized from SCAV_THREADS — malformed values
-/// are diagnosed on stderr and fall back to 1 (support/ParseInt.h) — and
-/// certgc_run's --threads flag overrides it via the setter; 1 preserves the
-/// deterministic sequential path.
-unsigned nativeGcThreads();
-
-/// Sets the process-wide default. The slot is atomic, so a late call is
-/// safe, but configure-at-startup is the intended use; concurrent sessions
-/// wanting different counts use ScopedNativeGcThreads instead of fighting
-/// over this.
-void setNativeGcThreads(unsigned N);
-
-/// RAII thread-local override of nativeGcThreads() for the current thread:
-/// lets each certgc_serve session carry its own `threads` knob without
-/// mutating (and racing on) the process default from worker threads.
-/// N == 0 means "no override" — the process default stays in effect.
-class ScopedNativeGcThreads {
-public:
-  explicit ScopedNativeGcThreads(unsigned N);
-  ~ScopedNativeGcThreads();
-  ScopedNativeGcThreads(const ScopedNativeGcThreads &) = delete;
-  ScopedNativeGcThreads &operator=(const ScopedNativeGcThreads &) = delete;
-
-private:
-  unsigned Prev;
-};
+              CopyOrder Order = CopyOrder::DepthFirst);
 
 } // namespace scav::gc
 

@@ -214,7 +214,6 @@ public:
 
 private:
   friend class GcContext;
-  friend class ValueBuilder; ///< Worker-arena factories (GcContext.h).
   Value(ValueKind K) : K(K) {}
 
   ValueKind K;

@@ -178,8 +178,9 @@ RunResult Pipeline::runMachine(uint64_t MaxSteps, uint32_t CheckEveryN) {
   CheckStats = gc::IncrementalCheckStats{};
   AsyncStats = gc::AsyncCheckStats{};
   // Async checking needs the incremental engine and the raw term state;
-  // the Vm backend maintains neither, so it silently degrades to the
-  // synchronous path (same verdicts, just no pipelining).
+  // the Vm backend maintains neither, so it degrades to the synchronous
+  // path (same verdicts, just no pipelining). The CLIs and manifests
+  // refuse these combinations; library callers still get the fallback.
   if (Opts.AsyncCheck && Opts.IncrementalCheck && CheckEveryN != 0 &&
       Opts.Machine.Eval != gc::EvalMode::Vm)
     return runMachineAsync(MaxSteps, CheckEveryN);

@@ -55,6 +55,7 @@ struct PipelineOptions {
   /// synchronous incremental run's. Requires IncrementalCheck; Vm eval
   /// mode falls back to synchronous checking (the bytecode backend does
   /// not maintain the raw term/environment pair captures ship).
+  /// certgc_run and parseManifest reject both combinations up front.
   bool AsyncCheck = false;
   /// Async only: check units in flight before capture blocks; when the
   /// checker falls a full queue + timeout behind, the lag net certifies

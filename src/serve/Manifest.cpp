@@ -123,10 +123,6 @@ bool scav::serve::parseManifest(std::string_view Text, std::string_view BaseDir,
         if (!parseNum(Key, Val, 1, N, LineNo, Error))
           return false;
         S.AsyncCheck = N != 0;
-      } else if (Key == "threads") {
-        if (!parseNum(Key, Val, 1024, N, LineNo, Error))
-          return false;
-        S.Threads = static_cast<unsigned>(N);
       } else if (Key == "max-steps") {
         if (!parseNum(Key, Val, UINT64_MAX, N, LineNo, Error))
           return false;
@@ -146,6 +142,10 @@ bool scav::serve::parseManifest(std::string_view Text, std::string_view BaseDir,
       return fail(Error, LineNo,
                   "stall-at-step=N needs the synchronous step loop; drop "
                   "async-check=1");
+    if (S.AsyncCheck && S.Eval == gc::EvalMode::Vm)
+      return fail(Error, LineNo,
+                  "async-check=1 needs eval=env or eval=subst; the VM "
+                  "checks synchronously");
     Out.Sessions.push_back(std::move(S));
   }
   if (Out.Sessions.empty()) {

@@ -12,8 +12,10 @@
 /// Exactly one of `gen-seed=N` (a ProgramGen seed) or `program=PATH` (a
 /// source file, resolved relative to the manifest's directory) selects the
 /// session's program. Everything else mirrors a certgc_run flag; see
-/// parseManifest for the full key list and defaults. Diagnostics carry the
-/// 1-based line number.
+/// parseManifest for the full key list and defaults. As in certgc_run, a
+/// combination the session would not honour is an error rather than a
+/// silent fallback: `async-check=1` with `stall-at-step=N` or with
+/// `eval=vm`. Diagnostics carry the 1-based line number.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,10 +43,9 @@ struct SessionSpec {
   uint32_t Capacity = 64;
   uint32_t CheckEvery = 0;
   uint32_t FullCheckEvery = 0;
+  /// Pipelined checks (PipelineOptions::AsyncCheck); rejected together
+  /// with eval=vm, whose step loop checks synchronously.
   bool AsyncCheck = false;
-  /// Per-session native-GC worker count (ScopedNativeGcThreads);
-  /// 0 = the process default.
-  unsigned Threads = 0;
   uint64_t MaxSteps = 5'000'000;
   /// Fault-injection knob (tests/CI): wedge the session's step loop at
   /// this 1-based step until the watchdog aborts it

@@ -5,7 +5,6 @@
 #include "gc/CollectorBasic.h"
 #include "gc/CollectorForward.h"
 #include "gc/CollectorGen.h"
-#include "gc/NativeCollector.h"
 #include "harness/Pipeline.h"
 #include "harness/ProgramGen.h"
 #include "support/Diag.h"
@@ -102,10 +101,6 @@ SessionResult runOne(const SessionSpec &Spec, size_t Index,
     PO.AbortRequested = &Watch->Abort;
     PO.StallAtStep = Spec.StallAtStep;
   }
-
-  // The session's `threads` knob binds to this worker thread only; it must
-  // never touch the process default from a pool thread.
-  gc::ScopedNativeGcThreads ThreadsOverride(Spec.Threads);
 
   harness::Pipeline P(PO);
   support::Histogram &Pauses =

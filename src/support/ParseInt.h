@@ -86,8 +86,8 @@ struct EnvUnsigned {
 /// completely, overflows, or lands outside the range also picks \p Fallback
 /// but reports a one-line diagnostic naming the variable and the offending
 /// text. This is the same bug class as the frontend's stoll food (see
-/// parseInt64 above): strtoul-with-no-endptr-check turned SCAV_THREADS=4x
-/// into a silent single-threaded run. Pure (no getenv, no I/O) so tests
+/// parseInt64 above): strtoul-with-no-endptr-check turned a knob set to
+/// `4x` into a silent default. Pure (no getenv, no I/O) so tests
 /// can drive raw strings through it; envUnsignedOr below is the effectful
 /// wrapper the runtime knobs use.
 inline EnvUnsigned parseEnvUnsigned(std::string_view Name, const char *Raw,

@@ -102,7 +102,7 @@ public:
   }
 
   /// Small dense id for the calling thread (1 = first caller, normally the
-  /// mutator/main thread), used as the Perfetto tid so parallel collector
+  /// mutator/main thread), used as the Perfetto tid so serve session
   /// workers and the async checker get their own tracks.
   static uint32_t threadId() {
     static std::atomic<uint32_t> NextTid{1};

@@ -501,8 +501,9 @@ uint64_t VmExec::encodeFastWord(const Value *V, uint32_t BindsBegin,
 /// buildTpl ∘ encodeValue fused at the word level: pack template nodes write
 /// their attachment pointers (already resolved in the cache entry) straight
 /// into \p RD's Aux table, so a collector-copy put allocates no Value at
-/// all. Nodes the word format cannot express (TransApp, non-packable
-/// pointers) fall back to buildTpl + encodeValue for that subtree.
+/// all. Nodes the word format cannot express (TransApp, or an Aux table
+/// past 32-bit indices) fall back to buildTpl + encodeValue for that
+/// subtree.
 uint64_t VmExec::encodeTplWord(const TplInfo &TI, const TplCacheEntry &E,
                                uint32_t Id, RegionData &RD) {
   using namespace gc::heapword;
@@ -544,8 +545,7 @@ uint64_t VmExec::encodeTplWord(const TplInfo &TI, const TplCacheEntry &E,
   case TplNode::K::PackTag: {
     const void *Witness = E.Atts[N.Att1];
     const void *Body = E.Atts[N.Att2];
-    if (!packable(Witness) || !packable(Body) ||
-        RD.Aux.size() + 4 > size_t(std::numeric_limits<uint32_t>::max()))
+    if (RD.Aux.size() + 4 > size_t(std::numeric_limits<uint32_t>::max()))
       return M.Mem.encodeValue(RD, buildTpl(TI, E, Id));
     uint32_t I = static_cast<uint32_t>(RD.Aux.size());
     RD.Aux.resize(I + 4, Hole);
@@ -559,8 +559,7 @@ uint64_t VmExec::encodeTplWord(const TplInfo &TI, const TplCacheEntry &E,
     const RegionSet *Delta = E.Deltas[N.Att3];
     const void *Witness = E.Atts[N.Att1];
     const void *Body = E.Atts[N.Att2];
-    if (!packable(Delta) || !packable(Witness) || !packable(Body) ||
-        RD.Aux.size() + 5 > size_t(std::numeric_limits<uint32_t>::max()))
+    if (RD.Aux.size() + 5 > size_t(std::numeric_limits<uint32_t>::max()))
       return M.Mem.encodeValue(RD, buildTpl(TI, E, Id));
     uint32_t I = static_cast<uint32_t>(RD.Aux.size());
     RD.Aux.resize(I + 5, Hole);
@@ -574,8 +573,7 @@ uint64_t VmExec::encodeTplWord(const TplInfo &TI, const TplCacheEntry &E,
   case TplNode::K::PackRegion: {
     const RegionSet *Delta = E.Deltas[N.Att3];
     const void *Body = E.Atts[N.Att2];
-    if (!packable(Delta) || !packable(Body) ||
-        RD.Aux.size() + 5 > size_t(std::numeric_limits<uint32_t>::max()))
+    if (RD.Aux.size() + 5 > size_t(std::numeric_limits<uint32_t>::max()))
       return M.Mem.encodeValue(RD, buildTpl(TI, E, Id));
     uint32_t I = static_cast<uint32_t>(RD.Aux.size());
     RD.Aux.resize(I + 5, Hole);

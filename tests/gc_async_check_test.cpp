@@ -6,9 +6,8 @@
 // variables — the normalization memo is per-context, so the mirror can
 // alpha-rename an M-unfold binder), same step attribution — across all
 // three language levels and against every fault-injection mutation kind
-// from the fuzz taxonomy. Plus the lag safety net, the Vm-mode fallback,
-// and the parallel native copy (work-stealing Cheney) against its serial
-// oracle.
+// from the fuzz taxonomy. Plus the lag safety net and the Vm-mode
+// fallback.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,7 +15,6 @@
 #include "gc/CollectorBasic.h"
 #include "gc/CollectorForward.h"
 #include "gc/CollectorGen.h"
-#include "gc/NativeCollector.h"
 #include "harness/FuzzMutate.h"
 #include "harness/HeapForge.h"
 #include "harness/Pipeline.h"
@@ -317,110 +315,6 @@ TEST(AsyncCheck, LagNetFallsBackSynchronouslyAndResyncs) {
   EXPECT_GE(S.LagResyncs, 1u) << "checker never lagged a 1-slot queue";
   EXPECT_GE(S.Snapshots, 1u) << "lag resync did not force a snapshot";
   EXPECT_EQ(S.UnitsChecked, S.UnitsCaptured - S.LagResyncs);
-}
-
-//===----------------------------------------------------------------------===//
-// Parallel native copy vs the serial oracle
-//===----------------------------------------------------------------------===//
-
-/// The differential-collect canonicalizer: order-independent DFS signature
-/// of the reachable graph, so serial and parallel layouts compare equal
-/// iff the copied graphs are isomorphic (sharing included).
-struct Canonicalizer {
-  Machine &M;
-  std::map<Address, int> Index;
-  std::string Sig;
-
-  std::string walk(const Value *V) {
-    switch (V->kind()) {
-    case ValueKind::Int:
-      return "i" + std::to_string(V->intValue());
-    case ValueKind::Addr: {
-      Address A = V->address();
-      if (A.R == M.context().cd())
-        return "cd" + std::to_string(A.Offset);
-      auto It = Index.find(A);
-      if (It != Index.end())
-        return "#" + std::to_string(It->second);
-      int K = static_cast<int>(Index.size());
-      Index[A] = K;
-      const Value *Cell = M.memory().get(A);
-      if (!Cell)
-        return "#dangling";
-      Sig += "cell" + std::to_string(K) + "=" + walk(Cell) + ";";
-      return "#" + std::to_string(K);
-    }
-    case ValueKind::Pair:
-      return "(" + walk(V->first()) + "," + walk(V->second()) + ")";
-    case ValueKind::Inl:
-      return "L" + walk(V->payload());
-    case ValueKind::Inr:
-      return "R" + walk(V->payload());
-    case ValueKind::PackTag:
-      return "E" + walk(V->payload());
-    case ValueKind::PackTyVar:
-    case ValueKind::PackRegion:
-      return "P" + walk(V->payload());
-    case ValueKind::TransApp:
-      return "T" + walk(V->payload());
-    case ValueKind::Var:
-      return "?var";
-    case ValueKind::Code:
-      return "code";
-    }
-    return "?";
-  }
-
-  std::string canonical(const Value *Root) {
-    std::string RootSig = walk(Root);
-    return Sig + "root=" + RootSig;
-  }
-};
-
-std::string cheneySignature(uint64_t Seed, unsigned Threads,
-                            NativeGcStats &Stats) {
-  GcContext C;
-  Machine M(C, LanguageLevel::Forward);
-  Region R = M.createRegion("from", 0);
-  Rng Rand(Seed);
-  ForgedHeap H = forgeRandom(M, R, R, Rand, 40);
-  auto [Root, To] = nativeCollect(M, H.Root, R, /*PreserveSharing=*/true,
-                                  Stats, CopyOrder::BreadthFirst, Threads);
-  (void)To;
-  Canonicalizer Canon{M, {}, {}};
-  return Canon.canonical(Root);
-}
-
-TEST(ParallelCollect, CheneyIsomorphicAcrossThreadCounts) {
-  for (uint64_t Seed = 1; Seed != 7; ++Seed) {
-    NativeGcStats Serial, Par;
-    std::string A = cheneySignature(Seed, 1, Serial);
-    std::string B = cheneySignature(Seed, 4, Par);
-    EXPECT_EQ(A, B) << "seed " << Seed;
-    EXPECT_EQ(Serial.Workers, 0u); // serial path, no worker machinery
-    EXPECT_EQ(Par.Workers, 4u);
-    EXPECT_EQ(Par.ObjectsCopied, Serial.ObjectsCopied) << "seed " << Seed;
-    uint64_t PerWorker = 0;
-    for (uint64_t N : Par.WorkerObjects)
-      PerWorker += N;
-    EXPECT_EQ(PerWorker, Par.ObjectsCopied);
-  }
-}
-
-TEST(ParallelCollect, DefaultThreadCountResolves) {
-  // Threads == 0 resolves through the process default (the --threads /
-  // SCAV_THREADS knob).
-  setNativeGcThreads(4);
-  EXPECT_EQ(nativeGcThreads(), 4u);
-  NativeGcStats Par, Serial;
-  std::string A = cheneySignature(99, 0, Par); // 0 = use the default
-  setNativeGcThreads(1);
-  std::string B = cheneySignature(99, 0, Serial);
-  EXPECT_EQ(A, B);
-  EXPECT_EQ(Par.Workers, 4u);
-  EXPECT_EQ(Serial.Workers, 0u);
-  setNativeGcThreads(0); // clamps back to 1
-  EXPECT_EQ(nativeGcThreads(), 1u);
 }
 
 } // namespace

@@ -117,15 +117,19 @@ std::string certifiedSignature(LanguageLevel Level, uint64_t Seed,
 }
 
 /// Same heap collected by the native oracle (at the same language level,
-/// so the forged heap carries the same wrappers).
+/// so the forged heap carries the same wrappers; Generational forges its
+/// region packages over a separate old region).
 std::string nativeSignature(LanguageLevel Level, uint64_t Seed,
                             size_t Budget, bool PreserveSharing,
                             CopyOrder Order, bool &Ok) {
   GcContext C;
   Machine M(C, Level);
   Region R = M.createRegion("from", 0);
+  Region Old = Level == LanguageLevel::Generational
+                   ? M.createRegion("old", 0)
+                   : R;
   Rng Rand(Seed);
-  ForgedHeap H = forgeRandom(M, R, R, Rand, Budget);
+  ForgedHeap H = forgeRandom(M, R, Old, Rand, Budget);
   NativeGcStats Stats;
   auto [Root, To] =
       nativeCollect(M, H.Root, R, PreserveSharing, Stats, Order);
@@ -165,15 +169,18 @@ TEST_P(DifferentialCollect, BasicMatchesNativeUnfolding) {
 
 TEST_P(DifferentialCollect, CheneyIsomorphicToDepthFirst) {
   uint64_t Seed = 0xBF5 + GetParam() * 409;
-  bool OkA = false, OkB = false;
-  std::string A = nativeSignature(LanguageLevel::Base, Seed, 20, true,
-                                  CopyOrder::DepthFirst, OkA);
-  std::string B = nativeSignature(LanguageLevel::Base, Seed, 20, true,
-                                  CopyOrder::BreadthFirst, OkB);
-  ASSERT_TRUE(OkA && OkB);
-  // Canonicalization is order-independent (DFS renumbering), so the two
-  // layouts must produce identical signatures.
-  EXPECT_EQ(A, B) << "seed " << Seed;
+  for (LanguageLevel Level : {LanguageLevel::Base, LanguageLevel::Forward,
+                              LanguageLevel::Generational}) {
+    bool OkA = false, OkB = false;
+    std::string A = nativeSignature(Level, Seed, 20, true,
+                                    CopyOrder::DepthFirst, OkA);
+    std::string B = nativeSignature(Level, Seed, 20, true,
+                                    CopyOrder::BreadthFirst, OkB);
+    ASSERT_TRUE(OkA && OkB);
+    // Canonicalization is order-independent (DFS renumbering), so the two
+    // layouts must produce identical signatures.
+    EXPECT_EQ(A, B) << languageLevelName(Level) << " seed " << Seed;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialCollect,

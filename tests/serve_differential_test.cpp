@@ -28,23 +28,22 @@ TEST(Manifest, ParsesFullLine) {
   std::string Err;
   ASSERT_TRUE(parseManifest("# header comment\n"
                             "\n"
-                            "level=gen eval=vm gen-seed=7 capacity=128 "
+                            "level=gen eval=env gen-seed=7 capacity=128 "
                             "check-every=64 full-check-every=4 "
-                            "async-check=1 threads=2 "
+                            "async-check=1 "
                             "max-steps=1000 # trailing\n",
                             "", M, Err))
       << Err;
   ASSERT_EQ(M.Sessions.size(), 1u);
   const SessionSpec &S = M.Sessions[0];
   EXPECT_EQ(S.Level, gc::LanguageLevel::Generational);
-  EXPECT_EQ(S.Eval, gc::EvalMode::Vm);
+  EXPECT_EQ(S.Eval, gc::EvalMode::Env);
   EXPECT_TRUE(S.HasGenSeed);
   EXPECT_EQ(S.GenSeed, 7u);
   EXPECT_EQ(S.Capacity, 128u);
   EXPECT_EQ(S.CheckEvery, 64u);
   EXPECT_EQ(S.FullCheckEvery, 4u);
   EXPECT_TRUE(S.AsyncCheck);
-  EXPECT_EQ(S.Threads, 2u);
   EXPECT_EQ(S.MaxSteps, 1000u);
 }
 
@@ -79,14 +78,20 @@ TEST(Manifest, DiagnosticsCarryLineNumbers) {
       {"level=base\n", "exactly one of gen-seed"},
       {"gen-seed=1 program=x.scm\n", "exactly one of"},
       {"gen-seed=zap\n", "not an unsigned integer"},
-      {"gen-seed=1 threads=9999\n", "threads=9999"},
+      {"gen-seed=1 capacity=99999999999\n", "capacity=99999999999"},
       {"gen-seed=1 bogus=3\n", "unknown key"},
+      // No session code reads a native-copy thread count any more.
+      {"gen-seed=1 threads=2\n", "unknown key 'threads'"},
       // The heap has one layout; the key that chose between two is gone.
       {"gen-seed=1 layout=compact\n", "unknown key 'layout'"},
       // The async step loop has no stall hook: refused in either key order.
       {"gen-seed=1\ngen-seed=2 async-check=1 stall-at-step=5\n", "line 2"},
       {"gen-seed=1 stall-at-step=5 async-check=1\n",
        "stall-at-step=N needs the synchronous step loop"},
+      // The VM's step loop checks synchronously: refused in either order.
+      {"gen-seed=1\ngen-seed=2 eval=vm async-check=1 check-every=8\n",
+       "line 2: async-check=1 needs eval=env or eval=subst"},
+      {"gen-seed=1 async-check=1 eval=vm\n", "async-check=1 needs eval="},
       {"gen-seed=1 eval\n", "expected key=value"},
       {"", "no sessions"},
   };

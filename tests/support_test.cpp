@@ -1,6 +1,5 @@
 //===- tests/support_test.cpp - Support-library unit tests ----------------===//
 
-#include "gc/NativeCollector.h"
 #include "gc/Region.h"
 #include "support/Arena.h"
 #include "support/Diag.h"
@@ -10,8 +9,6 @@
 #include "support/Symbol.h"
 
 #include <gtest/gtest.h>
-
-#include <thread>
 
 using namespace scav;
 
@@ -23,7 +20,7 @@ namespace {
 
 TEST(ParseEnv, UnsetAndEmptyFallBackSilently) {
   for (const char *Raw : {static_cast<const char *>(nullptr), ""}) {
-    EnvUnsigned R = parseEnvUnsigned("SCAV_THREADS", Raw, 7, 1, 1024);
+    EnvUnsigned R = parseEnvUnsigned("K", Raw, 7, 1, 1024);
     EXPECT_EQ(R.Value, 7u);
     EXPECT_TRUE(R.Diag.empty());
   }
@@ -62,10 +59,10 @@ TEST(ParseEnv, MalformedValuesDiagnoseAndFallBack) {
 }
 
 TEST(ParseEnv, OutOfRangeDiagnosesAndFallsBack) {
-  EnvUnsigned R = parseEnvUnsigned("SCAV_THREADS", "0", 1, 1, 1024);
+  EnvUnsigned R = parseEnvUnsigned("K", "0", 1, 1, 1024);
   EXPECT_EQ(R.Value, 1u);
   EXPECT_NE(R.Diag.find("out of range"), std::string::npos) << R.Diag;
-  R = parseEnvUnsigned("SCAV_THREADS", "4096", 1, 1, 1024);
+  R = parseEnvUnsigned("K", "4096", 1, 1, 1024);
   EXPECT_EQ(R.Value, 1u);
   EXPECT_FALSE(R.Diag.empty());
 }
@@ -83,32 +80,6 @@ TEST(ParseFlag, SecondsAreFiniteAndNonNegative) {
   EXPECT_EQ(parseSeconds("1e1"), 10.0);
   for (const char *Bad : {"", "pony", "1x", "-1", "inf", "nan", "1 "})
     EXPECT_FALSE(parseSeconds(Bad)) << '"' << Bad << '"';
-}
-
-//===----------------------------------------------------------------------===//
-// Native-GC thread knob: scoped per-thread override
-//===----------------------------------------------------------------------===//
-
-TEST(NativeGcThreads, ScopedOverrideIsPerThread) {
-  unsigned Default = gc::nativeGcThreads();
-  {
-    gc::ScopedNativeGcThreads Override(3);
-    EXPECT_EQ(gc::nativeGcThreads(), 3u);
-    {
-      gc::ScopedNativeGcThreads Nested(5);
-      EXPECT_EQ(gc::nativeGcThreads(), 5u);
-      // 0 = "no override": the enclosing override stays in effect.
-      gc::ScopedNativeGcThreads NoOp(0);
-      EXPECT_EQ(gc::nativeGcThreads(), 5u);
-    }
-    EXPECT_EQ(gc::nativeGcThreads(), 3u);
-    // Another thread never sees this thread's override.
-    unsigned Seen = 0;
-    std::thread T([&] { Seen = gc::nativeGcThreads(); });
-    T.join();
-    EXPECT_EQ(Seen, Default);
-  }
-  EXPECT_EQ(gc::nativeGcThreads(), Default);
 }
 
 //===----------------------------------------------------------------------===//
