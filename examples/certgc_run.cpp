@@ -17,14 +17,16 @@
 //     --full-check                 use the full O(heap) checker per check
 //     --full-check-every N         with the incremental checker, also run
 //                                  the full checker as an oracle every N-th
-//                                  check
+//                                  check (needs --check-every; rejected
+//                                  with --full-check)
 //     --async-check                run the per-N checks on a dedicated
 //                                  checker thread (pipelined against the
 //                                  mutator; verdicts byte-identical to the
 //                                  synchronous checker's — DESIGN.md §3.11);
 //                                  env SCAV_ASYNC_CHECK=1 sets the default;
-//                                  needs the incremental checker and the
-//                                  env or subst engine, so it is rejected
+//                                  needs per-N checks, the incremental
+//                                  checker and the env or subst engine, so
+//                                  it is rejected without --check-every and
 //                                  with --full-check, --eval-mode vm,
 //                                  --corrupt-at-step and --gc
 //     --certify                    typecheck all cd code before running
@@ -299,6 +301,19 @@ int main(int argc, char **argv) {
     return Reject("--async-check needs --eval-mode env or subst; the VM "
                   "checks synchronously (check SCAV_ASYNC_CHECK and "
                   "SCAV_EVAL_MODE)");
+  // Fault injection, async checking and the full-check oracle act only at
+  // the per-N checks (the resolved cadence, SCAV_CHECK_EVERY included).
+  if (Opts.CorruptAtStep != 0 && CheckEveryN == 0)
+    return Reject("--corrupt-at-step needs per-N checks to catch the "
+                  "corruption; add --check-every N (or SCAV_CHECK_EVERY)");
+  if (Opts.AsyncCheck && CheckEveryN == 0)
+    return Reject("--async-check pipelines the per-N checks; add "
+                  "--check-every N (or SCAV_CHECK_EVERY), or drop "
+                  "--async-check (or SCAV_ASYNC_CHECK)");
+  if (Opts.FullCheckEvery != 0 && (CheckEveryN == 0 || !Opts.IncrementalCheck))
+    return Reject("--full-check-every checks the per-N incremental checks; "
+                  "add --check-every N (or SCAV_CHECK_EVERY) and drop "
+                  "--full-check");
 
   // Dump bundles record how to rerun this exact invocation.
   if (!Opts.DumpDir.empty())

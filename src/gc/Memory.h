@@ -41,43 +41,15 @@ namespace scav::gc {
 
 class GcContext;
 
-/// A region R: a dense bump-allocated cell array (offset = index). Regions
-/// are only ever freed wholesale (`only`), never cell by cell, so a vector
-/// models the paper's region arenas faithfully — including O(1) bulk free.
-struct RegionData {
-  std::vector<const Value *> Cells;
-  /// The tagged-word image of each cell, parallel to Cells (Words.size() ==
-  /// Cells.size() always).
-  std::vector<uint64_t> Words;
-  /// Child words of Pair/InlAux/InrAux cells.
-  std::vector<uint64_t> Aux;
-  /// Side table for pointer-rich cells (Box words).
-  std::vector<const Value *> Boxed;
-  /// This region's dense id (index into Memory::ById).
-  uint32_t Id = 0;
-  /// Conservative (never under-counting) number of cells whose Words entry
-  /// is set but whose Cells entry has not been decoded yet. Zero means
-  /// every cell is visible through Cells, so decodeRegion is O(1) —
-  /// consumers that need the pointer view (checkers, fuzzers) call it
-  /// unconditionally.
-  uint32_t Undecoded = 0;
-  /// Soft capacity in cells; 0 means unlimited (never "full").
-  uint32_t Capacity = 0;
-  /// Total cells ever allocated here.
-  uint64_t TotalAllocated = 0;
-  /// The machine's only-epoch at creation time; the heap-growth policy
-  /// resizes only regions born in the current collection cycle (the
-  /// to-spaces), so long-lived regions keep their trigger capacity.
-  uint64_t Epoch = 0;
-  /// Mutation stamp, bumped by every put/fill/update. A consumer that
-  /// remembers the stamp can skip an untouched region in O(1).
+/// The mutation stamp and in-place overwrite log that a region and its
+/// region type share. Version is bumped by every write, so a consumer that
+/// remembers it can skip an untouched region in O(1). DirtyLog lists the
+/// offsets overwritten in place, in order; the incremental checker's
+/// capture step drains it (clearDirty). It is bounded by DirtyLogCap: on
+/// overflow the log is dropped and DirtyOverflow set, which consumers must
+/// treat as "every established offset may be dirty" (full-region resync).
+struct DirtyTracked {
   uint64_t Version = 0;
-  /// Offsets overwritten in place (fill/update), in order. Fresh cells are
-  /// not logged — consumers detect them from Cells.size() growth. The log
-  /// is cleared by its consumer (the incremental checker's capture step);
-  /// in unchecked runs it is bounded by DirtyLogCap: on overflow the log is
-  /// dropped and DirtyOverflow set, which consumers must treat as
-  /// "every established offset may be dirty" (full-region resync).
   std::vector<uint32_t> DirtyLog;
   bool DirtyOverflow = false;
 
@@ -106,39 +78,50 @@ struct RegionData {
   }
 };
 
-/// A region type Υ (dense, parallel to RegionData).
-struct RegionType {
+/// A region R: a dense bump-allocated cell array (offset = index). Regions
+/// are only ever freed wholesale (`only`), never cell by cell, so a vector
+/// models the paper's region arenas faithfully — including O(1) bulk free.
+/// Every put/fill/update bumps Version; fill/update log their offset.
+/// Fresh cells are not logged — consumers detect them from Cells.size()
+/// growth.
+struct RegionData : DirtyTracked {
+  std::vector<const Value *> Cells;
+  /// The tagged-word image of each cell, parallel to Cells (Words.size() ==
+  /// Cells.size() always).
+  std::vector<uint64_t> Words;
+  /// Child words of Pair/InlAux/InrAux cells.
+  std::vector<uint64_t> Aux;
+  /// Side table for pointer-rich cells (Box words).
+  std::vector<const Value *> Boxed;
+  /// This region's dense id (index into Memory::ById).
+  uint32_t Id = 0;
+  /// Conservative (never under-counting) number of cells whose Words entry
+  /// is set but whose Cells entry has not been decoded yet. Zero means
+  /// every cell is visible through Cells, so decodeRegion is O(1) —
+  /// consumers that need the pointer view (checkers, fuzzers) call it
+  /// unconditionally.
+  uint32_t Undecoded = 0;
+  /// Soft capacity in cells; 0 means unlimited (never "full").
+  uint32_t Capacity = 0;
+  /// Total cells ever allocated here.
+  uint64_t TotalAllocated = 0;
+  /// The machine's only-epoch at creation time; the heap-growth policy
+  /// resizes only regions born in the current collection cycle (the
+  /// to-spaces), so long-lived regions keep their trigger capacity.
+  uint64_t Epoch = 0;
+};
+
+/// A region type Υ (dense, parallel to RegionData). In normal operation Ψ
+/// cells are only ever *extended* (recordPut at fresh offsets) or
+/// rewritten wholesale (widen/only, which the machine journals as region
+/// events), so the log stays nearly empty: the only machine-originated
+/// entries are out-of-order defineCode filling a reserved null pad in cd.
+/// Every other entry is external Ψ surgery — which is precisely what the
+/// incremental checker needs to hear about, and `set` logs *every* write
+/// at an established offset (null pad or not) so no Version bump below
+/// Cells.size() can bypass the log.
+struct RegionType : DirtyTracked {
   std::vector<const Type *> Cells;
-  /// Mutation stamp / in-place overwrite log, exactly as in RegionData.
-  /// In normal operation Ψ cells are only ever *extended* (recordPut at
-  /// fresh offsets) or rewritten wholesale (widen/only, which the machine
-  /// journals as region events), so the log stays nearly empty: the only
-  /// machine-originated entries are out-of-order defineCode filling a
-  /// reserved null pad in cd. Every other entry is external Ψ surgery —
-  /// which is precisely what the incremental checker needs to hear about,
-  /// and `set` logs *every* write at an established offset (null pad or
-  /// not) so no Version bump below Cells.size() can bypass the log.
-  /// Capped like RegionData's (overflow ⇒ consumers resync the region).
-  uint64_t Version = 0;
-  std::vector<uint32_t> DirtyLog;
-  bool DirtyOverflow = false;
-
-  void logDirty(uint32_t Off) {
-    if (DirtyOverflow)
-      return;
-    if (DirtyLog.size() >= RegionData::DirtyLogCap) {
-      DirtyLog.clear();
-      DirtyLog.shrink_to_fit();
-      DirtyOverflow = true;
-      return;
-    }
-    DirtyLog.push_back(Off);
-  }
-
-  void clearDirty() {
-    DirtyLog.clear();
-    DirtyOverflow = false;
-  }
 };
 
 /// A memory type Ψ.

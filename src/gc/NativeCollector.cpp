@@ -99,8 +99,12 @@ template <typename Order> struct CopyRewrite {
         return V;
       return C.valAddr(Address{Region::name(ToSym), forward(A.Offset)});
     }
-    case ValueKind::Pair:
-      return C.valPair(relocateValue(V->first()), relocateValue(V->second()));
+    case ValueKind::Pair: {
+      // The first child before the second, as in relocateWord.
+      const Value *A = relocateValue(V->first());
+      const Value *B = relocateValue(V->second());
+      return C.valPair(A, B);
+    }
     case ValueKind::Inl:
       return C.valInl(relocateValue(V->payload()));
     case ValueKind::Inr:

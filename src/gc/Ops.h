@@ -42,6 +42,12 @@ struct Subst {
   }
 };
 
+/// Capture-avoiding substitution (Fig 5): a binder that collides with the
+/// substitution's domain, or with a symbol its range mentions, is renamed
+/// to a fresh symbol, minted in left-to-right traversal order. A node whose
+/// children and binders all come back unchanged is returned as it is
+/// (pointer-identical), so a substitution that touches nothing allocates
+/// nothing.
 const Tag *applySubst(GcContext &C, const Tag *T, const Subst &S);
 const Type *applySubst(GcContext &C, const Type *T, const Subst &S);
 const Value *applySubst(GcContext &C, const Value *V, const Subst &S);
@@ -56,14 +62,14 @@ struct CloseCounters {
   uint64_t Lookups = 0; ///< environment hits at variable occurrences
 };
 
-/// Closing substitution: like applySubst, but specialized to environments
-/// whose ranges are *closed* — no free variables of any sort, and every
-/// region a concrete name — as maintained by the environment-mode machine
-/// (Machine.h, EvalMode::Env). Closed ranges cannot be captured, so binders
-/// are never freshened; they only *shadow* (mask) same-named environment
-/// entries. The traversal returns the input node unchanged whenever no
-/// substitution fires underneath it, so forcing an already-closed subtree
-/// is pointer-identity.
+/// Closing substitution: applySubst's traversal under a masking binder
+/// policy, for environments whose ranges are *closed* — no free variables
+/// of any sort, and every region a concrete name — as maintained by the
+/// environment-mode machine (Machine.h, EvalMode::Env). Closed ranges
+/// cannot be captured, so binders are never freshened; they only *shadow*
+/// (mask) same-named environment entries. As in applySubst, a node in
+/// which no substitution fires comes back unchanged, so forcing an
+/// already-closed subtree is pointer-identity.
 const Tag *closeTag(GcContext &C, const Tag *T, const Subst &Env,
                     CloseCounters *Counters = nullptr);
 const Type *closeType(GcContext &C, const Type *T, const Subst &Env,

@@ -146,6 +146,15 @@ bool scav::serve::parseManifest(std::string_view Text, std::string_view BaseDir,
       return fail(Error, LineNo,
                   "async-check=1 needs eval=env or eval=subst; the VM "
                   "checks synchronously");
+    // Both act only at the per-N checks.
+    if (S.AsyncCheck && S.CheckEvery == 0)
+      return fail(Error, LineNo,
+                  "async-check=1 pipelines the per-N checks; set "
+                  "check-every=N");
+    if (S.FullCheckEvery != 0 && S.CheckEvery == 0)
+      return fail(Error, LineNo,
+                  "full-check-every=N checks the per-N incremental checks; "
+                  "set check-every=N");
     Out.Sessions.push_back(std::move(S));
   }
   if (Out.Sessions.empty()) {

@@ -15,7 +15,9 @@
 /// parseManifest for the full key list and defaults. As in certgc_run, a
 /// combination the session would not honour is an error rather than a
 /// silent fallback: `async-check=1` with `stall-at-step=N` or with
-/// `eval=vm`. Diagnostics carry the 1-based line number.
+/// `eval=vm`, and `async-check=1` or `full-check-every=N` without
+/// `check-every=N`. Diagnostics carry the 1-based line number. (certgc_serve
+/// also refuses `stall-at-step=N` without its `--stall-seconds` watchdog.)
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,15 +44,18 @@ struct SessionSpec {
   std::string ProgramPath;
   uint32_t Capacity = 64;
   uint32_t CheckEvery = 0;
+  /// Full-checker oracle cadence over the per-N checks; needs CheckEvery.
   uint32_t FullCheckEvery = 0;
-  /// Pipelined checks (PipelineOptions::AsyncCheck); rejected together
-  /// with eval=vm, whose step loop checks synchronously.
+  /// Pipelined checks (PipelineOptions::AsyncCheck); needs CheckEvery and
+  /// is rejected together with eval=vm, whose step loop checks
+  /// synchronously.
   bool AsyncCheck = false;
   uint64_t MaxSteps = 5'000'000;
   /// Fault-injection knob (tests/CI): wedge the session's step loop at
   /// this 1-based step until the watchdog aborts it
   /// (PipelineOptions::StallAtStep). 0 = off; rejected together with
-  /// AsyncCheck, whose step loop has no stall hook.
+  /// AsyncCheck, whose step loop has no stall hook, and by certgc_serve
+  /// without --stall-seconds, which arms the watchdog.
   uint64_t StallAtStep = 0;
 };
 

@@ -20,9 +20,11 @@
 //                            sessions under DIR/s<index>/ (harness/Dump.h)
 //     --stall-seconds S      arm the per-session watchdog: abort (and
 //                            dump) any session whose heartbeat stops for
-//                            S wall-clock seconds
+//                            S wall-clock seconds; required by a manifest
+//                            line with stall-at-step=N
 //
-// Exit status is 0 iff every session halted with a passing verdict.
+// Exit status is 0 iff every session halted with a passing verdict, and 2
+// on a malformed option or manifest.
 //
 //===----------------------------------------------------------------------===//
 
@@ -160,6 +162,17 @@ int main(int argc, char **argv) {
                  Error.c_str());
     return 2;
   }
+  // The stall hook is wired only to an armed watchdog (Serve.cpp): without
+  // one the session would run to completion as if the key were absent.
+  if (Opts.StallSeconds == 0)
+    for (size_t I = 0; I != M.Sessions.size(); ++I)
+      if (M.Sessions[I].StallAtStep != 0) {
+        std::fprintf(stderr,
+                     "certgc_serve: session %zu: stall-at-step=N needs "
+                     "--stall-seconds S, the watchdog that aborts it\n",
+                     I);
+        return 2;
+      }
 
   ServeReport Rep = runSessions(M, Opts);
 

@@ -182,8 +182,8 @@ struct RegSetOp {
 /// depends on changes. Soundness: λGC types never contain values, so closed
 /// types depend only on the tag/type/region slots captured in the cache
 /// key; the substitution itself is the same closeTag/closeType the env
-/// machine runs, with pack-binder masking resolved at compile time (the
-/// Closer masks, it never renames).
+/// machine runs, with pack-binder masking resolved at compile time (close*'s
+/// binder policy masks, it never renames).
 struct TplNode {
   enum class K : uint8_t {
     Const,      ///< verbatim arena node (no in-scope symbol occurs)

@@ -197,7 +197,7 @@ std::pair<uint32_t, uint32_t> Lowerer::typedBinds(const SymbolSet &Syms,
   // Innermost first, one entry per (sym, sort) — as collectBinds — but
   // restricted to the sorts types can mention, and with the pack binder
   // (if any) excluded from substitution entirely, at every scope depth:
-  // the Closer's mask hides outer bindings of the shadowed symbol too.
+  // close*'s mask hides outer bindings of the shadowed symbol too.
   for (auto It = Stack.rbegin(); It != Stack.rend(); ++It) {
     if (It->S == Sort::Val)
       continue;
@@ -266,7 +266,7 @@ uint32_t Lowerer::addTplAttDelta(const RegionSet &RS, TplBuild &B) {
 uint32_t Lowerer::buildTplNode(const Value *V, TplBuild &B) {
   TplNode N;
   N.V = V;
-  // Subtree pruning: no in-scope symbol anywhere → the Closer would return
+  // Subtree pruning: no in-scope symbol anywhere → closeValue would return
   // the node unchanged, so it is a compile-time constant.
   {
     SymbolSet Syms;
@@ -283,7 +283,7 @@ uint32_t Lowerer::buildTplNode(const Value *V, TplBuild &B) {
       N.Kind = TplNode::K::Slot;
       N.Slot = *Slot;
     } else {
-      N.Kind = TplNode::K::Const; // unbound: stays itself, like the Closer
+      N.Kind = TplNode::K::Const; // unbound: stays itself, as in closeValue
     }
     break;
   case ValueKind::Pair:
@@ -300,7 +300,7 @@ uint32_t Lowerer::buildTplNode(const Value *V, TplBuild &B) {
     N.A = buildTplNode(V->payload(), B);
     break;
   case ValueKind::PackTag:
-    // Mirror the Closer's order: witness and payload close under the outer
+    // Mirror closeValue's order: witness and payload close under the outer
     // scope; only the body type sees the binder masked.
     N.Kind = TplNode::K::PackTag;
     N.Att1 = addTplAttTag(V->tagWitness(), B);

@@ -79,8 +79,8 @@ private:
     }
   };
   /// The optional compile-time mask: a pack binder symbol excluded from
-  /// substitution inside its own body type (the Closer masks, never
-  /// renames, so this is exactly equivalent).
+  /// substitution inside its own body type (close*'s binder policy masks,
+  /// never renames, so this is exactly equivalent).
   using TplMask = std::optional<std::pair<gc::Symbol, Sort>>;
 
   uint32_t compileTpl(const gc::Value *V);

@@ -201,7 +201,7 @@ const TplCacheEntry &VmExec::refreshTpl(const TplInfo &TI) {
             break; // typedBinds never stores Val binds
           }
         }
-        T = closeTag(C, T, S); // no normalize — matches the Closer exactly
+        T = closeTag(C, T, S); // no normalize — matches closeValue exactly
       }
       New.Atts[A.Ord] = T;
       break;

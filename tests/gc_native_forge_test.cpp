@@ -214,6 +214,24 @@ TEST(NativeCollector, CheneyLaysListsOutContiguously) {
   M.memory().decodeRegion(*RD);
   for (const Value *V : RD->Cells)
     EXPECT_NE(V, nullptr);
+
+  // A pair root copies its first child first in both orders: (a, b) puts
+  // a's cell at to-offset 0 and b's at 1.
+  for (CopyOrder Order : {CopyOrder::DepthFirst, CopyOrder::BreadthFirst}) {
+    Region From = M.createRegion("from", 0);
+    const Value *A = M.allocate(From, C.valInt(1));
+    const Value *B = M.allocate(From, C.valInt(2));
+    auto [PairRoot, PairTo] =
+        nativeCollect(M, C.valPair(A, B), From, true, Stats, Order);
+    ASSERT_TRUE(PairRoot->is(ValueKind::Pair));
+    Address First = PairRoot->first()->address();
+    Address Second = PairRoot->second()->address();
+    EXPECT_EQ(First.R, PairTo);
+    EXPECT_EQ(First.Offset, 0u) << "order " << static_cast<int>(Order);
+    EXPECT_EQ(Second.Offset, 1u) << "order " << static_cast<int>(Order);
+    EXPECT_EQ(M.memory().get(First)->intValue(), 1);
+    EXPECT_EQ(M.memory().get(Second)->intValue(), 2);
+  }
 }
 
 TEST(NativeCollector, GarbageIsDropped) {

@@ -92,6 +92,11 @@ TEST(Manifest, DiagnosticsCarryLineNumbers) {
       {"gen-seed=1\ngen-seed=2 eval=vm async-check=1 check-every=8\n",
        "line 2: async-check=1 needs eval=env or eval=subst"},
       {"gen-seed=1 async-check=1 eval=vm\n", "async-check=1 needs eval="},
+      // Async checking and the full-check oracle ride the per-N checks.
+      {"gen-seed=1\ngen-seed=2 async-check=1\n",
+       "line 2: async-check=1 pipelines the per-N checks"},
+      {"gen-seed=1 full-check-every=4 check-every=0\n",
+       "line 1: full-check-every=N checks the per-N incremental checks"},
       {"gen-seed=1 eval\n", "expected key=value"},
       {"", "no sessions"},
   };
