@@ -47,14 +47,13 @@
 #include "gc/Lang.h"
 #include "gc/Term.h"
 #include "support/Arena.h"
+#include "support/FlatTable.h"
 #include "support/Symbol.h"
 
 #include <array>
 #include <chrono>
 #include <map>
 #include <string_view>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace scav::gc {
@@ -64,8 +63,8 @@ class GcContext {
 public:
   /// Counters for the uniquing tables, the normalization memo caches, and
   /// the equality fast paths, plus an exclusive typework clock. Cheap enough
-  /// to maintain unconditionally; read by bench/e10_typework and
-  /// tests/gc_intern_test.
+  /// to maintain unconditionally; read by certbench's traced run (the gc.*
+  /// metrics) and tests/gc_intern_test.
   struct Stats {
     // Uniquing: hit = factory returned an existing node.
     uint64_t TagInternHits = 0;
@@ -176,13 +175,6 @@ public:
         FreshTag(std::move(SessionNamespace)) {
     assert(SharedBase.Frozen &&
            "shared base must be frozen before sessions layer on it");
-    // Sessions start with the warmed base vocabulary already available;
-    // their private tables only hold workload-specific nodes, so start
-    // them a few powers of two smaller than a standalone context's.
-    TagTable.reserve(1u << 10);
-    TypeTable.reserve(1u << 12);
-    TagNormalMemo.reserve(1u << 10);
-    TypeNormalMemo.reserve(1u << 12);
     OmegaKind = SharedBase.OmegaKind;
     IntTagNode = SharedBase.IntTagNode;
     IntTypeNode = SharedBase.IntTypeNode;
@@ -194,14 +186,9 @@ private:
   GcContext(SymbolTable *Shared, bool MarkCanonicalBit)
       : OwnedSyms(Shared ? nullptr : std::make_unique<SymbolTable>()),
         Syms(Shared ? *Shared : *OwnedSyms), MarkCanonical(MarkCanonicalBit) {
-    // Collections create nodes by the tens of thousands and the tables only
-    // ever grow (Scope unwinds aside), so incremental rehashing of a
-    // near-full table is pure overhead on the hot path — and it lands
-    // inside the typework timer. Start roomy instead.
-    TagTable.reserve(1u << 14);
-    TypeTable.reserve(1u << 16);
-    TagNormalMemo.reserve(1u << 12);
-    TypeNormalMemo.reserve(1u << 14);
+    // No up-front reserve: the flat tables grow cheaply (support/FlatTable.h),
+    // and zero-filling a roomy reservation would cost every short-lived
+    // context (a frozen base, a serve session) more than it saves.
     OmegaKind = Alloc.create<Kind>(Kind());
     IntTagNode = internTag(Tag(TagKind::Int));
     IntTypeNode = internType(Type(TypeKind::Int));
@@ -526,26 +513,30 @@ public:
   // must consult the base even when the local key exists (the type memo is
   // per-level — the base may hold the level this context does not).
   const Tag *lookupNormalTagMemo(const Tag *T) const {
-    auto It = TagNormalMemo.find(T);
-    if (It != TagNormalMemo.end())
-      return It->second;
+    if (const TagMemoEntry *E = TagNormalMemo.find(memoHash(T), KeyIs{T}))
+      return E->Normal;
     return Base ? Base->lookupNormalTagMemo(T) : nullptr;
   }
   void rememberNormalTag(const Tag *T, const Tag *N) {
     assert(!Frozen && "memoizing into a frozen shared base");
-    if (TagNormalMemo.emplace(T, N).second)
-      TagMemoLog.push_back(T);
+    if (TagNormalMemo.find(memoHash(T), KeyIs{T}))
+      return;
+    TagNormalMemo.insert(memoHash(T), {T, N});
+    TagMemoLog.push_back(T);
   }
 
   const Type *lookupNormalTypeMemo(const Type *T, LanguageLevel L) const {
-    auto It = TypeNormalMemo.find(T);
-    if (It != TypeNormalMemo.end() && It->second[levelIndex(L)])
-      return It->second[levelIndex(L)];
+    const TypeMemoEntry *E = TypeNormalMemo.find(memoHash(T), KeyIs{T});
+    if (E && E->Normal[levelIndex(L)])
+      return E->Normal[levelIndex(L)];
     return Base ? Base->lookupNormalTypeMemo(T, L) : nullptr;
   }
   void rememberNormalType(const Type *T, LanguageLevel L, const Type *N) {
     assert(!Frozen && "memoizing into a frozen shared base");
-    auto &Slot = TypeNormalMemo[T][levelIndex(L)];
+    TypeMemoEntry *E = TypeNormalMemo.find(memoHash(T), KeyIs{T});
+    if (!E)
+      E = &TypeNormalMemo.insert(memoHash(T), {T, {}});
+    const Type *&Slot = E->Normal[levelIndex(L)];
     if (Slot == N)
       return;
     assert(!Slot && "normalization memo slot rebound to a different result");
@@ -568,33 +559,41 @@ public:
                       TagMemoLog.size(),   TypeMemoLog.size()};
   }
 
-  /// Unwinds every uniquing-table and memo entry inserted since \p Cp, then
-  /// bulk-frees the arena back to it. Entry removal must come first: the
-  /// hash tables need the (about-to-be-freed) node memory to rehash keys.
-  /// Entries inserted before the mark can only reference pre-mark nodes
-  /// (both key and value existed at insertion time), so they stay valid.
+  /// Unwinds every uniquing-table and memo entry inserted since \p Cp,
+  /// newest first, then bulk-frees the arena back to it. Entry removal must
+  /// come first: it reads each logged node's hash. Erasure leaves no
+  /// tombstones (support/FlatTable.h), so the tables answer as they did at
+  /// the mark even if they grew inside the scope. Entries inserted before
+  /// the mark can only reference pre-mark nodes (both key and value existed
+  /// at insertion time), so they stay valid.
   void release(const Checkpoint &Cp) {
     assert(!Frozen && "rolling back a frozen shared base");
-    for (size_t I = TagLog.size(); I > Cp.Tags; --I)
-      TagTable.erase(TagLog[I - 1]);
+    for (size_t I = TagLog.size(); I > Cp.Tags; --I) {
+      const Tag *N = TagLog[I - 1];
+      TagTable.erase(N->hash(), [N](const Tag *E) { return E == N; });
+    }
     TagLog.resize(Cp.Tags);
-    for (size_t I = TypeLog.size(); I > Cp.Types; --I)
-      TypeTable.erase(TypeLog[I - 1]);
+    for (size_t I = TypeLog.size(); I > Cp.Types; --I) {
+      const Type *N = TypeLog[I - 1];
+      TypeTable.erase(N->hash(), [N](const Type *E) { return E == N; });
+    }
     TypeLog.resize(Cp.Types);
     for (size_t I = KindLog.size(); I > Cp.Kinds; --I)
       ArrowKinds.erase(KindLog[I - 1]);
     KindLog.resize(Cp.Kinds);
-    for (size_t I = TagMemoLog.size(); I > Cp.TagMemo; --I)
-      TagNormalMemo.erase(TagMemoLog[I - 1]);
+    for (size_t I = TagMemoLog.size(); I > Cp.TagMemo; --I) {
+      const Tag *T = TagMemoLog[I - 1];
+      TagNormalMemo.erase(memoHash(T), KeyIs{T});
+    }
     TagMemoLog.resize(Cp.TagMemo);
     for (size_t I = TypeMemoLog.size(); I > Cp.TypeMemo; --I) {
       auto [T, L] = TypeMemoLog[I - 1];
-      auto It = TypeNormalMemo.find(T);
-      if (It == TypeNormalMemo.end())
+      TypeMemoEntry *E = TypeNormalMemo.find(memoHash(T), KeyIs{T});
+      if (!E)
         continue;
-      It->second[L] = nullptr;
-      if (!It->second[0] && !It->second[1] && !It->second[2])
-        TypeNormalMemo.erase(It);
+      E->Normal[L] = nullptr;
+      if (!E->Normal[0] && !E->Normal[1] && !E->Normal[2])
+        TypeNormalMemo.erase(memoHash(T), KeyIs{T});
     }
     TypeMemoLog.resize(Cp.TypeMemo);
     Alloc.release(Cp.Mem);
@@ -1101,73 +1100,66 @@ private:
     return 0;
   }
 
-  struct TagHash {
-    size_t operator()(const Tag *T) const { return T->hash(); }
-  };
-  struct TagEq {
-    bool operator()(const Tag *A, const Tag *B) const {
-      return A->shallowEquals(*B);
-    }
-  };
-  struct TypeHash {
-    size_t operator()(const Type *T) const { return T->hash(); }
-  };
-  struct TypeEq {
-    bool operator()(const Type *A, const Type *B) const {
-      return A->shallowEquals(*B);
+  /// Memo keys hash by address: nodes are unique, and the probe never has
+  /// to read the key node.
+  static uint64_t memoHash(const void *Key) {
+    return reinterpret_cast<uintptr_t>(Key);
+  }
+  struct KeyIs {
+    const void *Key;
+    template <typename Entry> bool operator()(const Entry &E) const {
+      return E.Key == Key;
     }
   };
 
   const Tag *internTag(Tag &&T) {
     finishTag(T);
+    auto SameNode = [&T](const Tag *N) { return N->shallowEquals(T); };
     // Base probe first: the frozen base holds the warm shared vocabulary
     // (collector/runtime types), the hot case for session contexts. A node
     // is inserted locally only after missing both tables, so the two are
     // disjoint and probe order is a pure performance choice.
     if (Base) {
-      auto BIt = Base->TagTable.find(&T);
-      if (BIt != Base->TagTable.end()) {
+      if (const Tag *const *B = Base->TagTable.find(T.hash(), SameNode)) {
         ++S.TagInternHits;
         ++S.TagBaseHits;
-        return *BIt;
+        return *B;
       }
     }
-    auto It = TagTable.find(&T);
-    if (It != TagTable.end()) {
+    if (const Tag *const *L = TagTable.find(T.hash(), SameNode)) {
       ++S.TagInternHits;
-      return *It;
+      return *L;
     }
     assert(!Frozen && "interning tags into a frozen shared base");
     ++S.TagInternMisses;
     Tag *N = Alloc.create<Tag>(std::move(T));
     if (MarkCanonical)
       N->Bits |= Tag::FlagCanonical;
-    TagTable.insert(N);
+    TagTable.insert(N->hash(), N);
     TagLog.push_back(N);
     return N;
   }
 
   const Type *internType(Type &&T) {
     finishType(T);
+    auto SameNode = [&T](const Type *N) { return N->shallowEquals(T); };
     if (Base) {
-      auto BIt = Base->TypeTable.find(&T);
-      if (BIt != Base->TypeTable.end()) {
+      if (const Type *const *B = Base->TypeTable.find(T.hash(), SameNode)) {
         ++S.TypeInternHits;
         ++S.TypeBaseHits;
-        return *BIt;
+        return *B;
       }
     }
-    auto It = TypeTable.find(&T);
-    if (It != TypeTable.end()) {
+    if (const Type *const *L = TypeTable.find(T.hash(), SameNode)) {
       ++S.TypeInternHits;
-      return *It;
+      return *L;
     }
     assert(!Frozen && "interning types into a frozen shared base");
     ++S.TypeInternMisses;
     Type *N = Alloc.create<Type>(std::move(T));
     if (MarkCanonical)
       N->Bits |= Type::FlagCanonical;
-    TypeTable.insert(N);
+    TypeTable.insert(N->hash(), N);
     TypeLog.push_back(N);
     return N;
   }
@@ -1217,17 +1209,27 @@ private:
   const Tag *IdFunTag = nullptr;
   Region CdRegion;
 
-  // Uniquing tables + insertion logs (for Checkpoint rollback).
-  std::unordered_set<Tag *, TagHash, TagEq> TagTable;
-  std::unordered_set<Type *, TypeHash, TypeEq> TypeTable;
+  // Uniquing tables (slots hash by Tag::hash/Type::hash) + insertion logs
+  // (for Checkpoint rollback).
+  FlatTable<const Tag *> TagTable;
+  FlatTable<const Type *> TypeTable;
   std::map<std::pair<const Kind *, const Kind *>, const Kind *> ArrowKinds;
-  std::vector<Tag *> TagLog;
-  std::vector<Type *> TypeLog;
+  std::vector<const Tag *> TagLog;
+  std::vector<const Type *> TypeLog;
   std::vector<std::pair<const Kind *, const Kind *>> KindLog;
 
-  // Normalization memos + insertion logs.
-  std::unordered_map<const Tag *, const Tag *> TagNormalMemo;
-  std::unordered_map<const Type *, std::array<const Type *, 3>> TypeNormalMemo;
+  // Normalization memos (slots hash by memoHash) + insertion logs. A type's
+  // entry holds one normal form per LanguageLevel.
+  struct TagMemoEntry {
+    const Tag *Key = nullptr;
+    const Tag *Normal = nullptr;
+  };
+  struct TypeMemoEntry {
+    const Type *Key = nullptr;
+    std::array<const Type *, 3> Normal{};
+  };
+  FlatTable<TagMemoEntry> TagNormalMemo;
+  FlatTable<TypeMemoEntry> TypeNormalMemo;
   std::vector<const Tag *> TagMemoLog;
   std::vector<std::pair<const Type *, size_t>> TypeMemoLog;
 };

@@ -61,7 +61,7 @@ void fuzzModeSetup(const char *Mode, const FuzzOptions &Opts,
     TRACE_INSTANT("fuzz", "selftest.failure");
     Rep.Failures.push_back({replayLine(Mode, Opts.Seed, Opts),
                             "injected self-test failure (not a real bug)",
-                            std::string(), traceTail(Opts)});
+                            std::string(), traceTail(Opts), std::string()});
   }
 }
 
@@ -425,7 +425,8 @@ void grammarIteration(uint64_t IterSeed, const FuzzOptions &Opts,
     });
     Rep.Failures.push_back({replayLine("grammar", IterSeed, Opts),
                             "parser rejected without a diagnostic",
-                            std::move(Minimized), traceTail(Opts)});
+                            std::move(Minimized), traceTail(Opts),
+                            std::string()});
     return;
   }
   }

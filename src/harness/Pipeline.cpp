@@ -175,6 +175,26 @@ RunResult Pipeline::runMachine(uint64_t MaxSteps, uint32_t CheckEveryN) {
     R.Error = "no translated program";
     return R;
   }
+  // Options that act only at the per-N checks, or only through another
+  // option, are refused rather than silently ignored (the CLIs and
+  // manifests reject the same combinations).
+  const char *Ignored = nullptr;
+  if (CheckEveryN == 0 && Opts.AsyncCheck)
+    Ignored = "AsyncCheck pipelines the per-N checks, but CheckEveryN is 0";
+  else if (CheckEveryN == 0 && Opts.CorruptAtStep != 0)
+    Ignored = "CorruptAtStep needs per-N checks to catch the corruption, but "
+              "CheckEveryN is 0";
+  else if (CheckEveryN == 0 && Opts.FullCheckEvery != 0)
+    Ignored = "FullCheckEvery counts per-N checks, but CheckEveryN is 0";
+  else if (!Opts.IncrementalCheck && Opts.FullCheckEvery != 0)
+    Ignored = "FullCheckEvery cross-checks the incremental checker, but "
+              "IncrementalCheck is off";
+  else if (Opts.StallAtStep != 0 && !Opts.AbortRequested)
+    Ignored = "StallAtStep waits for AbortRequested, which is not set";
+  if (Ignored) {
+    R.Error = std::string("unsupported pipeline options: ") + Ignored;
+    return R;
+  }
   CheckStats = gc::IncrementalCheckStats{};
   AsyncStats = gc::AsyncCheckStats{};
   // Async checking needs the incremental engine and the raw term state;

@@ -94,8 +94,8 @@ struct PipelineOptions {
   std::atomic<bool> *AbortRequested = nullptr;
   /// Fault-injection knob (tests/CI): busy-wait before executing this
   /// 1-based step, polling AbortRequested — a deterministic wedged mutator
-  /// for the watchdog path. Requires AbortRequested (a no-op otherwise);
-  /// synchronous step loop only. 0 = off.
+  /// for the watchdog path. Requires AbortRequested (runMachine refuses it
+  /// otherwise); synchronous step loop only. 0 = off.
   uint64_t StallAtStep = 0;
   /// Fault-injection knob (tests/CI): corrupt the machine state right
   /// after this 1-based step (FuzzMutate taxonomy, kind CorruptKind mod 9,
@@ -170,7 +170,10 @@ public:
 
   /// Runs the translated program on the λGC machine. With CheckEveryN != 0,
   /// re-establishes ⊢ (M, e) every N steps (1 = per-step) and checks
-  /// progress throughout.
+  /// progress throughout. Fails before the first step, naming the option,
+  /// when an option would have no effect: AsyncCheck, CorruptAtStep or
+  /// FullCheckEvery with CheckEveryN == 0, FullCheckEvery without
+  /// IncrementalCheck, or StallAtStep without AbortRequested.
   RunResult runMachine(uint64_t MaxSteps = 5'000'000,
                        uint32_t CheckEveryN = 0);
 

@@ -21,13 +21,15 @@
 #ifndef SCAV_SUPPORT_SYMBOL_H
 #define SCAV_SUPPORT_SYMBOL_H
 
+#include "support/FlatTable.h"
+
 #include <cassert>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 
 namespace scav {
 
@@ -106,19 +108,20 @@ public:
 
 private:
   std::pair<Symbol, bool> internLocked(std::string_view Name) {
-    auto It = Map.find(Name);
-    if (It != Map.end())
-      return {Symbol(It->second), false};
+    uint64_t H = std::hash<std::string_view>{}(Name);
+    if (const uint32_t *Known =
+            Map.find(H, [&](uint32_t K) { return Names[K] == Name; }))
+      return {Symbol(*Known), false};
     uint32_t Id = static_cast<uint32_t>(Names.size());
     Names.emplace_back(Name);
-    Map.emplace(std::string_view(Names.back()), Id);
+    Map.insert(H, Id);
     return {Symbol(Id), true};
   }
 
   mutable std::mutex Mu;
   std::deque<std::string> Names; ///< Stable spelling storage.
-  /// Keys view into Names (stable — deque elements never move).
-  std::unordered_map<std::string_view, uint32_t> Map;
+  /// Spelling hash → id; the spelling itself is compared through Names.
+  FlatTable<uint32_t> Map;
   uint64_t FreshCounter = 0;
 };
 

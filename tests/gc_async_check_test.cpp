@@ -108,8 +108,9 @@ TEST(AsyncCheck, PipelineMatchesSyncAllLevels) {
     EXPECT_EQ(Sync->asyncCheckStats().UnitsCaptured, 0u);
     // Same check cadence ⇒ same engine work (unless a lag resync dropped
     // a unit, which a loaded CI box can legitimately cause).
-    if (S.LagResyncs == 0)
+    if (S.LagResyncs == 0) {
       EXPECT_EQ(Async->checkerStats().Checks, Sync->checkerStats().Checks);
+    }
   }
 }
 

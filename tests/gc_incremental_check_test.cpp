@@ -180,6 +180,44 @@ TEST(IncrementalCheck, PipelineOracleCadenceAgrees) {
   EXPECT_EQ(R.Value, 300);
 }
 
+TEST(IncrementalCheck, PipelineRefusesOptionsItWouldIgnore) {
+  // Each option acts only at the per-N checks or through another option.
+  // runMachine must name it before the first step instead of running to
+  // halt without it.
+  struct Case {
+    const char *Option;
+    uint32_t CheckEveryN;
+    void (*Set)(PipelineOptions &);
+  };
+  const Case Cases[] = {
+      {"AsyncCheck", 0, [](PipelineOptions &O) { O.AsyncCheck = true; }},
+      {"CorruptAtStep", 0, [](PipelineOptions &O) { O.CorruptAtStep = 3; }},
+      {"FullCheckEvery", 0, [](PipelineOptions &O) { O.FullCheckEvery = 2; }},
+      {"FullCheckEvery", 1,
+       [](PipelineOptions &O) {
+         O.IncrementalCheck = false;
+         O.FullCheckEvery = 2;
+       }},
+      {"StallAtStep", 1, [](PipelineOptions &O) { O.StallAtStep = 3; }},
+  };
+  for (const Case &K : Cases) {
+    SCOPED_TRACE(K.Option);
+    PipelineOptions Opts;
+    Opts.Level = LanguageLevel::Forward;
+    Opts.Machine.DefaultRegionCapacity = 12;
+    K.Set(Opts);
+    Pipeline Pipe(Opts);
+    DiagEngine Diags;
+    ASSERT_TRUE(Pipe.compile(
+        "(app (fix f (n Int) Int (if0 n 0 (+ n (app f (- n 1))))) 24)", Diags))
+        << Diags.str();
+    RunResult R = Pipe.runMachine(3'000'000, K.CheckEveryN);
+    EXPECT_FALSE(R.Ok);
+    EXPECT_NE(R.Error.find(K.Option), std::string::npos) << R.Error;
+    EXPECT_EQ(R.Steps, 0u);
+  }
+}
+
 TEST(IncrementalCheck, CheckEveryFromEnvParses) {
   unsetenv("SCAV_CHECK_EVERY");
   EXPECT_EQ(checkEveryFromEnv(7), 7u);

@@ -129,6 +129,22 @@ TEST(Intern, AlphaVariantsNotUnified) {
 TEST(Intern, ScopeUnwindsTablesAndMemos) {
   GcContext C;
   const Tag *Keep = C.tagProd(C.tagInt(), C.tagInt());
+  // Pre-mark nodes and normal forms, rebuilt after the release below.
+  Symbol Pre = C.fresh("pre");
+  Region PreR = Region::name(C.fresh("rho"));
+  auto BuildPre = [&](int I) {
+    const Tag *Leaf = C.tagProd(C.tagVar(Pre), Keep);
+    for (int J = 0; J != I; ++J)
+      Leaf = C.tagProd(Leaf, C.tagInt());
+    return std::pair(Leaf, C.typeAt(C.typeM(PreR, Leaf), PreR));
+  };
+  std::vector<std::pair<const Tag *, const Type *>> PreNodes;
+  for (int I = 0; I != 8; ++I)
+    PreNodes.push_back(BuildPre(I));
+  const Tag *PreRedex = C.tagApp(C.tagLam(Pre, C.tagVar(Pre)), Keep);
+  const Tag *PreTagNF = normalizeTag(C, PreRedex);
+  const Type *PreM = C.typeM(PreR, Keep);
+  const Type *PreTypeNF = normalizeType(C, PreM, LanguageLevel::Base);
   size_t Tags = C.internedTags(), Types = C.internedTypes();
   {
     GcContext::Scope Scope(C);
@@ -138,12 +154,39 @@ TEST(Intern, ScopeUnwindsTablesAndMemos) {
     Region R = Region::name(C.fresh("rho"));
     normalizeType(C, C.typeM(R, Redex), LanguageLevel::Base);
     EXPECT_GT(C.internedTags(), Tags);
+    // Far more entries than the tables and memos held at the mark, so
+    // each of them grows (at least doubles) inside the scope.
+    const size_t Many = 8 * (Tags + Types) + 64;
+    const Tag *Chain = C.tagVar(T);
+    for (size_t I = 0; I != Many; ++I) {
+      Chain = C.tagProd(Chain, Keep);
+      const Tag *Arg = C.tagApp(C.tagLam(T, C.tagVar(T)), Chain);
+      normalizeTag(C, Arg);
+      normalizeType(C, C.typeM(R, Arg), LanguageLevel::Base);
+    }
+    EXPECT_GE(C.internedTags(), Tags + Many);
+    EXPECT_GE(C.internedTypes(), Types + Many);
   }
   EXPECT_EQ(C.internedTags(), Tags);
   EXPECT_EQ(C.internedTypes(), Types);
-  // The surviving node is still canonical: re-building it hits the table
-  // (a dangling table entry would crash or miss here).
+  // The surviving nodes are still canonical: re-building them hits the
+  // table (a dangling or lost entry would crash or mint a new node here).
   EXPECT_EQ(C.tagProd(C.tagInt(), C.tagInt()), Keep);
+  for (int I = 0; I != 8; ++I) {
+    EXPECT_EQ(BuildPre(I).first, PreNodes[I].first);
+    EXPECT_EQ(BuildPre(I).second, PreNodes[I].second);
+  }
+  EXPECT_EQ(C.tagApp(C.tagLam(Pre, C.tagVar(Pre)), Keep), PreRedex);
+  EXPECT_EQ(C.typeM(PreR, Keep), PreM);
+  EXPECT_EQ(C.internedTags(), Tags);
+  EXPECT_EQ(C.internedTypes(), Types);
+  // The pre-mark memo entries survive and are served from the memo.
+  uint64_t TagHits = C.stats().NormalizeTagMemoHits;
+  uint64_t TypeHits = C.stats().NormalizeTypeMemoHits;
+  EXPECT_EQ(normalizeTag(C, PreRedex), PreTagNF);
+  EXPECT_EQ(normalizeType(C, PreM, LanguageLevel::Base), PreTypeNF);
+  EXPECT_EQ(C.stats().NormalizeTagMemoHits, TagHits + 1);
+  EXPECT_EQ(C.stats().NormalizeTypeMemoHits, TypeHits + 1);
 }
 
 //===----------------------------------------------------------------------===//

@@ -189,8 +189,9 @@ TEST(ServeDifferential, SessionsRecordCollectPauses) {
   const auto &Hists = R.Sessions[0].Metrics.histograms();
   auto It = Hists.find("machine.collect_pause_ns");
   ASSERT_NE(It, Hists.end());
-  if (R.Sessions[0].Metrics.counters().at("machine.only_ops") > 0)
+  if (R.Sessions[0].Metrics.counters().at("machine.only_ops") > 0) {
     EXPECT_GT(It->second.count(), 0u);
+  }
   EXPECT_FALSE(R.Sessions[1].Ok);
   EXPECT_NE(R.Sessions[1].Error.find("cannot open"), std::string::npos);
 }

@@ -3,12 +3,18 @@
 #include "gc/Region.h"
 #include "support/Arena.h"
 #include "support/Diag.h"
+#include "support/FlatTable.h"
 #include "support/ParseInt.h"
 #include "support/Printer.h"
 #include "support/Rng.h"
 #include "support/Symbol.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <set>
+#include <string>
+#include <vector>
 
 using namespace scav;
 
@@ -151,6 +157,97 @@ TEST(Arena, NestedCheckpoints) {
 }
 
 //===----------------------------------------------------------------------===//
+// FlatTable: the open-addressing table behind interning
+//===----------------------------------------------------------------------===//
+
+TEST(FlatTable, CollisionsWrapAroundAndMidClusterErase) {
+  // Hashes whose probe starts at a given slot of a 16-slot table, by the
+  // documented rule: the top four bits of hash × 0x9E3779B97F4A7C15.
+  auto HashHomedAt = [](uint64_t Slot, uint64_t Skip = 0) {
+    for (uint64_t H = 1;; ++H)
+      if (((H * 0x9E3779B97F4A7C15ULL) >> 60) == Slot && Skip-- == 0)
+        return H;
+  };
+  uint64_t Last = HashHomedAt(15), Last2 = HashHomedAt(15, 1);
+  struct Entry {
+    uint64_t H;
+    int V;
+  };
+  // Probe order fills slots 15, 0, 1, ..., 6: the cluster wraps at the
+  // array end, A/B/F share one hash (forced collisions), D/G/I are pushed
+  // off their home slots, and H sits at its home between G and I.
+  const Entry A{Last, 0}, B{Last, 1}, C{Last2, 2}, D{HashHomedAt(0), 3},
+      F{Last, 4}, G{HashHomedAt(3), 5}, H{HashHomedAt(5), 6},
+      I{HashHomedAt(4), 7};
+  std::vector<Entry> Live = {A, B, C, D, F, G, H, I};
+  FlatTable<int> T;
+  for (const Entry &X : Live)
+    T.insert(X.H, X.V);
+  ASSERT_EQ(T.capacity(), 16u); // eight entries: load exactly one half
+  auto Found = [&T](const Entry &X) {
+    return T.find(X.H, [&X](int V) { return V == X.V; }) != nullptr;
+  };
+  for (const Entry &X : Live)
+    EXPECT_TRUE(Found(X)) << X.V;
+
+  // Erase from the middle of the cluster (the shift must move I past H,
+  // which stays home), then its first member, then H: each time every
+  // survivor is still found and the erased one is not.
+  for (int Erase : {1, 0, 6}) {
+    SCOPED_TRACE(Erase);
+    auto It = std::find_if(Live.begin(), Live.end(),
+                           [Erase](const Entry &X) { return X.V == Erase; });
+    Entry Gone = *It;
+    Live.erase(It);
+    T.erase(Gone.H, [&Gone](int V) { return V == Gone.V; });
+    EXPECT_FALSE(Found(Gone));
+    EXPECT_EQ(T.size(), Live.size());
+    for (const Entry &X : Live)
+      EXPECT_TRUE(Found(X)) << X.V;
+  }
+  EXPECT_EQ(T.capacity(), 16u);
+}
+
+TEST(FlatTable, MatchesAReferenceSetThroughGrowthAndErase) {
+  // 64 distinct hashes for hundreds of payloads: clusters of entries with
+  // different home slots run into each other.
+  FlatTable<int> T;
+  std::set<int> Ref;
+  std::vector<int> Order; // insertion order, for a newest-first unwind
+  auto HashOf = [](int V) { return static_cast<uint64_t>(V % 64); };
+  auto Has = [&T, &HashOf](int V) {
+    return T.find(HashOf(V), [V](int X) { return X == V; }) != nullptr;
+  };
+  Rng R(7);
+  for (int Round = 0; Round != 4000; ++Round) {
+    int V = static_cast<int>(R.below(400));
+    if (Ref.count(V)) {
+      if (R.chance(1, 2)) {
+        T.erase(HashOf(V), [V](int X) { return X == V; });
+        Ref.erase(V);
+      }
+    } else {
+      T.insert(HashOf(V), V);
+      Ref.insert(V);
+      Order.push_back(V);
+    }
+    ASSERT_EQ(T.size(), Ref.size());
+  }
+  EXPECT_GE(T.capacity(), 2 * T.size());
+  for (int V = 0; V != 400; ++V)
+    EXPECT_EQ(Has(V), Ref.count(V) == 1) << V;
+  for (size_t I = Order.size(); I-- > 0;) {
+    int V = Order[I];
+    if (!Ref.erase(V))
+      continue;
+    T.erase(HashOf(V), [V](int X) { return X == V; });
+    for (int W : Ref)
+      ASSERT_TRUE(Has(W)) << W;
+  }
+  EXPECT_EQ(T.size(), 0u);
+}
+
+//===----------------------------------------------------------------------===//
 // Symbols
 //===----------------------------------------------------------------------===//
 
@@ -162,6 +259,18 @@ TEST(Symbols, InternIsIdempotent) {
   EXPECT_EQ(A, B);
   EXPECT_NE(A, C);
   EXPECT_EQ(T.name(A), "foo");
+  // Enough spellings to grow the map several times over: every earlier
+  // spelling keeps its id and name.
+  std::vector<Symbol> Ids;
+  for (int I = 0; I != 2000; ++I)
+    Ids.push_back(T.intern("s" + std::to_string(I)));
+  EXPECT_EQ(T.size(), Ids.size() + 2);
+  EXPECT_EQ(T.intern("foo"), A);
+  EXPECT_EQ(T.intern("bar"), C);
+  for (int I = 0; I != 2000; ++I) {
+    EXPECT_EQ(T.intern("s" + std::to_string(I)), Ids[I]);
+    EXPECT_EQ(T.name(Ids[I]), "s" + std::to_string(I));
+  }
 }
 
 TEST(Symbols, FreshNeverCollides) {
